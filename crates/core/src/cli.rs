@@ -4,25 +4,30 @@
 //! and the command handlers return their report as a `String`, which keeps
 //! the whole surface unit-testable; the binary in `src/bin/emgrid.rs` only
 //! forwards `std::env::args` and prints.
+//!
+//! Every command declares its flags in a knob table, and a flag outside
+//! it is an error. The `characterize`, `analyze` and `fea` knobs spell
+//! JobSpec keys: those commands build the spec, validate and resolve it
+//! exactly as the daemon does, and run it through the daemon's own
+//! execute → result-document pipeline (`emgrid_serve::runner`) before
+//! rendering text.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
 use emgrid_em::black::BlackModel;
 use emgrid_em::{Technology, SECONDS_PER_YEAR};
-use emgrid_fea::geometry::{CharacterizationModel, IntersectionPattern, ViaArrayGeometry};
 use emgrid_pg::signoff::{current_density_signoff, WireGeometry};
-use emgrid_pg::{GridVariation, IrDropReport, PowerGrid, PowerGridMc, SystemCriterion};
-use emgrid_runtime::obs;
-use emgrid_runtime::{EarlyStop, RunReport, RuntimeConfig};
-use emgrid_screen::{screen_grid, ScreenOptions};
-use emgrid_serve::{ServeConfig, Server};
-use emgrid_sparse::{FactorOptions, KernelBackend, Method, Ordering};
+use emgrid_pg::{IrDropReport, PowerGrid};
+use emgrid_runtime::{obs, RunReport};
+use emgrid_screen::screen_grid;
+use emgrid_serve::json::{self, Json};
+use emgrid_serve::runner::{self, execute, result_doc, screen_options, Halt, Hooks, Outcome};
+use emgrid_serve::{JobSpec, ResolvedJob, ResolvedMc, ServeConfig, Server, SpecError};
+use emgrid_spice::ingest::IngestLimits;
 use emgrid_spice::writer::write_string;
 use emgrid_spice::{lint, parse, repair_shorted_vias, GridSpec};
-use emgrid_via::{
-    FailureCriterion, FeaOptions, LayerPair, StressCache, StressTable, Variation, ViaArrayConfig,
-    ViaArrayMc,
-};
+use emgrid_via::VarianceDecomposition;
 
 /// A CLI failure: the message to print to stderr.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,13 +65,9 @@ COMMANDS:
                     [--linewidth-sigma <f>] [--variance-analysis]
     analyze       system TTF of a deck (two-level Monte Carlo)
                     <deck.sp> [same options as characterize]
-                    --grid-trials <n> (default 200)
-                    [--repair-vias <ohms>] [--threads <n>]
-                    [--target-ci <half-width>]
+                    --grid-trials <n> (default 200)  [--repair-vias <ohms>]
                     [--ordering natural|rcm|amd|nd]
                     [--kernels auto|scalar|blocked]
-                    [--edge-current-factor <f>] [--temperature-sigma <degC>]
-                    [--linewidth-sigma <f>]
     screen        linear-time steady-state EM screening: rank every via
                   array of a deck by steady-state stress, no Monte Carlo
                     <deck.sp> | --profile pg1|pg2|pg5|pg100k|pg1m
@@ -126,14 +127,45 @@ results are bit-identical for any thread count) and --target-ci (stop as
 soon as the 95% CI half-width on mean ln TTF reaches the target instead
 of exhausting the trial budget).
 
+The characterize, analyze and fea flags are spellings of job-spec keys
+(the JSON that `POST /v1/jobs` and `emgrid validate` take). Each command
+builds that spec, validates it exactly as the daemon does, and runs it
+through the daemon's own pipeline, so a spec prints the statistics its
+daemon result document holds. screen spells the deck, `screening` and
+`solver` blocks of an analyze spec the same way:
+
+    --array, --pattern (t, l)         array, pattern
+    --criterion (weakest-link, open)  criterion
+    --trials, --seed, --threads       trials, seed, threads
+    --target-ci                       target_ci
+    --edge-current-factor             variation.edge_current_factor
+    --temperature-sigma               variation.temperature_sigma_c
+    --linewidth-sigma                 variation.linewidth_sigma
+    --variance-analysis               variation.variance_analysis
+    --grid-trials                     grid_trials (analyze)
+    <deck.sp>, --repair-vias          netlist, repair_vias
+    --ordering, --kernels, --method   solver.ordering, solver.kernels,
+                                      solver.method (screen)
+    --resolution, --fea-threads       resolution, threads (fea)
+    --no-cache                        use_cache: false (fea)
+    --profile, --top-k                benchmark, screening.top_k (screen)
+    --stress-threshold                screening.stress_threshold (screen)
+
+So the spec bounds apply: at most 1e6 trials and 64 threads,
+--resolution in [0.05, 5] um, and the variation bounds below. Decks go
+through the daemon's ingest, which rejects fatal lint findings; shorted
+vias are repaired only when --repair-vias asks. Unlisted flags are
+errors.
+
 The characterize and analyze commands model on-die variation:
---edge-current-factor weights edge/corner vias with `1 + f*sides` of the
-array current, --temperature-sigma and --linewidth-sigma sample
-spatially correlated per-via temperature and linewidth fields each trial
-(from per-trial RNG sub-streams, so results stay bit-identical for any
-thread count). characterize additionally takes --variance-analysis: it
-replays the same trials with the fields frozen and reports how much of
-the ln-TTF variance the correlated fields add on top of void nucleation.
+--edge-current-factor (at most 10) weights edge/corner vias with
+`1 + f*sides` of the array current, --temperature-sigma (at most 100
+degC) and --linewidth-sigma (at most 0.5) sample spatially correlated
+per-via temperature and linewidth fields each trial (from per-trial RNG
+sub-streams, so results stay bit-identical for any thread count).
+--variance-analysis replays the same trials with the fields frozen and
+reports how much of the ln-TTF variance the correlated fields add on
+top of void nucleation.
 
 The screen command solves one operating point, decomposes the grid into
 interconnect trees, and prints every via array ranked by its steady-state
@@ -142,22 +174,13 @@ nodes, so it runs before (and gates) the expensive two-level Monte Carlo.
 --top-k / --stress-threshold select the subset; --json emits the same
 deterministic document the serve/sweep `screening` block records.
 
-The analyze, screen and fea commands read the sparse solver's
-fill-reducing ordering from --ordering first, the EMGRID_ORDERING
-environment variable second, and default to amd. The ordering changes factorization wall time
-only, never which statistics come out. They likewise read the dense-panel
-microkernel backend from --kernels first, EMGRID_KERNELS second, and
-default to auto (which picks the register-blocked kernels); every backend
-produces bit-identical factors and solutions, so this too is purely a
-speed knob.
-
-The fea command reads its mesh resolution from --resolution first, the
-EMGRID_RESOLUTION environment variable second, and defaults to 0.25 um.
-Solved fields are cached keyed by model content under --cache-dir,
-falling back to EMGRID_CACHE_DIR and then results/cache/; --no-cache
-(or EMGRID_NO_CACHE=1) bypasses the cache. --fea-threads splits threads
-across primitives and solver kernels; results are bit-identical for any
-thread count.
+--ordering, --kernels and --resolution fall back to the EMGRID_ORDERING,
+EMGRID_KERNELS and EMGRID_RESOLUTION environment variables, then to amd,
+auto (the register-blocked kernels) and 0.25 um. Orderings and kernel
+backends change wall time only: every statistic is bit-identical. fea
+caches solved fields by model content under --cache-dir, else
+EMGRID_CACHE_DIR, else results/cache/; --no-cache (or EMGRID_NO_CACHE=1)
+bypasses the cache. Results are bit-identical for any --fea-threads.
 
 The serve command runs in the foreground until killed. Job state lives
 under --state-dir; a restarted daemon requeues unfinished jobs and
@@ -188,32 +211,23 @@ expansion — without touching a state directory, and prints the canonical
 /// Returns [`CliError`] with a user-facing message on bad arguments or
 /// failing analyses.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         return Err(CliError(USAGE.to_owned()));
     };
-    let rest = &args[1..];
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_owned());
+    }
+    let command =
+        command(name).ok_or_else(|| CliError(format!("unknown command `{name}`\n\n{USAGE}")))?;
+    let flags = Flags::parse(name, &command, &args[1..])?;
     // `--trace` arms the runtime's span timers for any command; the span
     // tree goes to stderr so piped stdout reports stay clean.
-    let trace = rest.iter().any(|a| a == "--trace");
+    let trace = flags.has(TRACE.flag);
     if trace {
         obs::reset_spans();
         obs::set_trace(true);
     }
-    let result = match command.as_str() {
-        "generate" => cmd_generate(rest),
-        "lint" => cmd_lint(rest),
-        "irdrop" => cmd_irdrop(rest),
-        "characterize" => cmd_characterize(rest),
-        "analyze" => cmd_analyze(rest),
-        "screen" => cmd_screen(rest),
-        "fea" => cmd_fea(rest),
-        "signoff" => cmd_signoff(rest),
-        "sweep" => cmd_sweep(rest),
-        "validate" => cmd_validate(rest),
-        "serve" => cmd_serve(rest),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
-        other => Err(CliError(format!("unknown command `{other}`\n\n{USAGE}"))),
-    };
+    let result = (command.run)(&flags);
     if trace {
         obs::set_trace(false);
         eprintln!("{}", obs::span_report());
@@ -221,49 +235,460 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     result
 }
 
-fn option_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
+/// One row of a command's knob table: a flag and the JobSpec key it
+/// spells. Values travel as text and become JSON numbers when they parse
+/// as one, so the spec layer types and bounds them as it would a
+/// submitted document.
+#[derive(Debug)]
+struct Knob {
+    flag: &'static str,
+    /// The JobSpec key the flag spells, dotted for nested blocks; empty
+    /// when the command reads the flag itself.
+    key: &'static str,
+    /// `Some(b)` for a valueless switch, which sets its key to `b`.
+    switch: Option<bool>,
+    /// Environment variable read when the flag is absent.
+    env: Option<&'static str>,
+    /// Accepted value spellings beyond the spec's: `(alias, spec label)`.
+    aliases: &'static [(&'static str, &'static str)],
 }
 
-fn parse_usize(args: &[String], name: &str, default: usize) -> Result<usize, CliError> {
-    match option_value(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{v}` for {name}"))),
+const fn knob(flag: &'static str, key: &'static str) -> Knob {
+    Knob {
+        flag,
+        key,
+        switch: None,
+        env: None,
+        aliases: &[],
     }
 }
 
-fn parse_u64(args: &[String], name: &str, default: u64) -> Result<u64, CliError> {
-    match option_value(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{v}` for {name}"))),
+const fn switch(flag: &'static str, key: &'static str, on: bool) -> Knob {
+    Knob {
+        switch: Some(on),
+        ..knob(flag, key)
     }
 }
 
-/// Parses `--threads` / `--target-ci` into a runtime configuration shared
-/// by the Monte Carlo commands.
-fn parse_runtime(args: &[String]) -> Result<RuntimeConfig, CliError> {
-    let threads = parse_usize(args, "--threads", 1)?;
-    if threads == 0 {
-        return Err(CliError("--threads must be at least 1".to_owned()));
-    }
-    let mut runtime = RuntimeConfig::threaded(threads);
-    if let Some(v) = option_value(args, "--target-ci") {
-        let hw: f64 = v
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{v}` for --target-ci")))?;
-        if hw.is_nan() || hw <= 0.0 {
-            return Err(CliError("--target-ci must be positive".to_owned()));
+/// A flag the command reads itself.
+const fn option(flag: &'static str) -> Knob {
+    knob(flag, "")
+}
+
+/// `--trace` is accepted by every command.
+const TRACE: Knob = switch("--trace", "", true);
+
+// The knob tables, in groups shared between commands.
+#[rustfmt::skip]
+const PRIMITIVE: &[Knob] = &[
+    knob("--array", "array"),
+    Knob { aliases: &[("t", "tee"), ("l", "ell")], ..knob("--pattern", "pattern") },
+];
+#[rustfmt::skip]
+const MONTE_CARLO: &[Knob] = &[
+    Knob { aliases: &[("weakest-link", "wl"), ("open", "rinf")], ..knob("--criterion", "criterion") },
+    knob("--trials", "trials"),
+    knob("--seed", "seed"),
+    knob("--threads", "threads"),
+    knob("--target-ci", "target_ci"),
+    knob("--edge-current-factor", "variation.edge_current_factor"),
+    knob("--temperature-sigma", "variation.temperature_sigma_c"),
+    knob("--linewidth-sigma", "variation.linewidth_sigma"),
+    switch("--variance-analysis", "variation.variance_analysis", true),
+];
+const GRID_TRIALS: &[Knob] = &[knob("--grid-trials", "grid_trials")];
+const DECK: &[Knob] = &[knob("--repair-vias", "repair_vias")];
+#[rustfmt::skip]
+const SOLVER: &[Knob] = &[
+    Knob { env: Some("EMGRID_ORDERING"), ..knob("--ordering", "solver.ordering") },
+    Knob { env: Some("EMGRID_KERNELS"), ..knob("--kernels", "solver.kernels") },
+];
+#[rustfmt::skip]
+const FEA: &[Knob] = &[
+    Knob { env: Some("EMGRID_RESOLUTION"), ..knob("--resolution", "resolution") },
+    knob("--fea-threads", "threads"),
+    switch("--no-cache", "use_cache", false),
+    option("--cache-dir"),
+];
+const PROFILE: &[Knob] = &[knob("--profile", "benchmark")];
+#[rustfmt::skip]
+const SCREEN: &[Knob] = &[
+    knob("--top-k", "screening.top_k"),
+    knob("--stress-threshold", "screening.stress_threshold"),
+    knob("--method", "solver.method"),
+    switch("--json", "", true),
+];
+const SIGNOFF: &[Knob] = &[option("--target-years")];
+#[rustfmt::skip]
+const SWEEP: &[Knob] = &[
+    option("--state-dir"), option("--workers"), option("--checkpoint-every"),
+    option("--max-in-flight"),
+];
+#[rustfmt::skip]
+const SERVE: &[Knob] = &[
+    option("--addr"), option("--workers"), option("--queue-depth"),
+    option("--checkpoint-every"), option("--state-dir"), option("--cache-dir"),
+    option("--max-body-bytes"), option("--max-netlist-lines"), option("--max-connections"),
+    option("--io"), option("--dispatchers"), option("--max-in-flight-per-client"),
+    switch("--debug-panic-route", "", true),
+];
+
+type Handler = fn(&Flags<'_>) -> Result<String, CliError>;
+
+/// One command: its knob table, the positional argument it takes (named
+/// for the "missing …" error), and its handler.
+struct Command {
+    knobs: &'static [&'static [Knob]],
+    positional: Option<&'static str>,
+    run: Handler,
+}
+
+#[rustfmt::skip]
+fn command(name: &str) -> Option<Command> {
+    const DECK_PATH: Option<&str> = Some("deck path");
+    let (knobs, positional, run): (&'static [&'static [Knob]], _, Handler) = match name {
+        "generate" => (&[PROFILE], None, cmd_generate),
+        "lint" => (&[DECK], DECK_PATH, cmd_lint),
+        "irdrop" => (&[DECK], DECK_PATH, cmd_irdrop),
+        "characterize" => (&[PRIMITIVE, MONTE_CARLO], None, |f| run_spec("characterize", f)),
+        "analyze" => (&[PRIMITIVE, MONTE_CARLO, GRID_TRIALS, DECK, SOLVER], DECK_PATH,
+                      |f| run_spec("analyze", f)),
+        "screen" => (&[PROFILE, SCREEN, DECK, SOLVER], DECK_PATH, cmd_screen),
+        "fea" => (&[PRIMITIVE, FEA, SOLVER], None, |f| run_spec("fea", f)),
+        "signoff" => (&[DECK, SIGNOFF], DECK_PATH, cmd_signoff),
+        "sweep" => (&[SWEEP], Some("sweep spec path"), cmd_sweep),
+        "validate" => (&[], Some("spec path"), cmd_validate),
+        "serve" => (&[SERVE], None, cmd_serve),
+        _ => return None,
+    };
+    Some(Command { knobs, positional, run })
+}
+
+/// A command's arguments, checked against its knob table.
+struct Flags<'a> {
+    knobs: &'static [&'static [Knob]],
+    /// `(flag, value)` in command-line order; switches carry no value.
+    set: Vec<(&'static str, Option<&'a str>)>,
+    positional: Option<&'static str>,
+    path: Option<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    /// Splits `args` into flags (with their arity from the knob table) and
+    /// the positional argument. Flags outside the table are errors.
+    fn parse(name: &str, command: &Command, args: &'a [String]) -> Result<Flags<'a>, CliError> {
+        let mut flags = Flags {
+            knobs: command.knobs,
+            set: Vec::new(),
+            positional: command.positional,
+            path: None,
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                if flags.positional.is_none() || flags.path.is_some() {
+                    return Err(CliError(format!(
+                        "unexpected argument `{arg}` for `{name}`"
+                    )));
+                }
+                flags.path = Some(arg);
+                continue;
+            }
+            let knob = flags.knob(arg).ok_or_else(|| {
+                CliError(format!(
+                    "unknown flag `{arg}` for `{name}` (see `emgrid help`)"
+                ))
+            })?;
+            let value = match knob.switch {
+                Some(_) => None,
+                None => Some(
+                    args.next()
+                        .ok_or_else(|| CliError(format!("missing value for {arg}")))?
+                        .as_str(),
+                ),
+            };
+            flags.set.push((knob.flag, value));
         }
-        runtime = runtime.with_early_stop(EarlyStop::to_half_width(hw));
+        Ok(flags)
     }
-    Ok(runtime)
+
+    fn knobs(&self) -> impl Iterator<Item = &'static Knob> {
+        self.knobs.iter().flat_map(|group| group.iter())
+    }
+
+    fn knob(&self, flag: &str) -> Option<&'static Knob> {
+        std::iter::once(&TRACE)
+            .chain(self.knobs())
+            .find(|k| k.flag == flag)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.set.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value of the first occurrence of `flag`.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.set
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| *v)
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        match self.get(flag) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| CliError(format!("invalid value `{v}` for {flag}"))),
+        }
+    }
+
+    /// A count flag, which must be at least 1.
+    fn count(&self, flag: &str, default: usize) -> Result<usize, CliError> {
+        match self.parsed(flag, default)? {
+            0 => Err(CliError(format!("{flag} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
+    fn path(&self) -> Result<&'a str, CliError> {
+        self.path
+            .ok_or_else(|| CliError(format!("missing {}", self.positional.unwrap_or("argument"))))
+    }
+}
+
+/// Where each key of a CLI-built job spec came from: the flag or the
+/// environment variable that set it; unset keys took the spec default.
+struct Sources(Vec<(&'static str, &'static str)>);
+
+impl Sources {
+    fn of(&self, key: &str) -> &'static str {
+        self.0
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or("default", |(_, source)| source)
+    }
+
+    /// Re-attributes a spec error to the flag or variable that set the
+    /// offending key.
+    fn attribute(&self, e: SpecError) -> CliError {
+        CliError(match e.field.as_deref() {
+            Some(field) if self.0.iter().any(|(k, _)| *k == field) => {
+                format!("{}: {e}", self.of(field))
+            }
+            _ => return spec_error("job", e),
+        })
+    }
+}
+
+/// A spec validation failure, naming the field at fault.
+fn spec_error(kind: &str, e: SpecError) -> CliError {
+    CliError(match &e.field {
+        Some(field) => format!("invalid {kind} spec at `{field}`: {e}"),
+        None => format!("invalid {kind} spec: {e}"),
+    })
+}
+
+/// Spells a job spec of `kind` from `flags`: each knob with a spec key
+/// takes the flag's value, else its environment variable's (looked up
+/// through `env`), else stays unset so the spec default applies. A deck
+/// path becomes the inline `netlist` of an `analyze` spec (`screen` may
+/// name a benchmark `--profile` instead). The spec is then validated as
+/// the daemon validates a submission.
+fn job_spec(
+    kind: &str,
+    flags: &Flags<'_>,
+    env: &dyn Fn(&str) -> Option<String>,
+) -> Result<(JobSpec, Sources), CliError> {
+    let mut doc = vec![("kind".to_owned(), Json::s(kind))];
+    let mut sources = Sources(Vec::new());
+    for knob in flags.knobs().filter(|k| !k.key.is_empty()) {
+        let (raw, source) = if flags.has(knob.flag) {
+            (
+                flags.get(knob.flag).unwrap_or_default().to_owned(),
+                knob.flag,
+            )
+        } else if let Some((var, raw)) = knob.env.and_then(|var| Some((var, env(var)?))) {
+            (raw, var)
+        } else {
+            continue;
+        };
+        let value = match knob.switch {
+            Some(on) => Json::Bool(on),
+            None => {
+                let alias = knob.aliases.iter().find(|(alias, _)| *alias == raw);
+                let raw = alias.map_or(raw.as_str(), |(_, label)| label);
+                raw.parse().map_or_else(|_| Json::s(raw), Json::n)
+            }
+        };
+        insert(&mut doc, knob.key, value);
+        sources.0.push((knob.key, source));
+    }
+    if kind == "analyze" && !flags.has("--profile") {
+        doc.push(("netlist".into(), Json::s(read_text(flags.path()?)?)));
+    }
+    let spec = JobSpec::from_json(&Json::Obj(doc)).map_err(|e| sources.attribute(e))?;
+    Ok((spec, sources))
+}
+
+/// Sets a key, or a `block.key` inside a nested object, in `pairs`.
+fn insert(pairs: &mut Vec<(String, Json)>, key: &str, value: Json) {
+    let Some((block, key)) = key.split_once('.') else {
+        return pairs.push((key.to_owned(), value));
+    };
+    if !pairs.iter().any(|(k, _)| k == block) {
+        pairs.push((block.to_owned(), Json::Obj(Vec::new())));
+    }
+    if let Some((_, Json::Obj(inner))) = pairs.iter_mut().find(|(k, _)| k == block) {
+        inner.push((key.to_owned(), value));
+    }
+}
+
+/// Local decks are the user's own files: no ingest size caps.
+const LOCAL_FILES: IngestLimits = IngestLimits {
+    max_bytes: usize::MAX,
+    max_lines: usize::MAX,
+};
+
+/// `characterize`, `analyze` and `fea`: the flags spell a job spec, which
+/// runs through the daemon's pipeline — resolve, execute (with no hooks),
+/// result document — and is then rendered as text.
+fn run_spec(kind: &str, flags: &Flags<'_>) -> Result<String, CliError> {
+    let (spec, sources) = job_spec(kind, flags, &|var| std::env::var(var).ok())?;
+    let job = spec.resolve().map_err(|e| sources.attribute(e))?;
+    let hooks = Hooks {
+        limits: LOCAL_FILES,
+        cache_dir: flags.get("--cache-dir").map(Path::new),
+        ..Hooks::default()
+    };
+    let outcome = execute(&job, &hooks).map_err(|halt| match halt {
+        Halt::Failed(e) => CliError(e),
+        Halt::Cancelled => CliError("run cancelled".to_owned()),
+    })?;
+    // The text reports the result document's statistics, so it can never
+    // disagree with the daemon's answer for the same spec.
+    let doc = result_doc(&outcome).map_err(CliError)?;
+    let stat = |key| stat(&doc, key);
+    let mut out = String::new();
+    match &outcome {
+        Outcome::Characterize {
+            mc,
+            result,
+            variance,
+        } => {
+            let _ = writeln!(
+                out,
+                "array {} ({} pattern), criterion {}, {} trials",
+                mc.array, mc.config.pattern, mc.criterion, mc.trials
+            );
+            variation_line(&mut out, mc);
+            let _ = write!(
+                out,
+                "TTF median     : {:.2} years\nTTF 0.3%ile    : {:.2} years\n\
+                 lognormal fit  : median {:.2} years, sigma {:.3} (KS {:.3})\n",
+                stat("ttf_median_years"),
+                stat("ttf_p03_years"),
+                stat("lognormal_median_years"),
+                stat("lognormal_sigma"),
+                stat("ks")
+            );
+            variance_line(&mut out, variance);
+            let _ = writeln!(out, "{}", format_report(result.report()));
+        }
+        Outcome::Analyze {
+            mc,
+            grid_trials,
+            sites,
+            result,
+            variance,
+            ..
+        } => {
+            let _ = writeln!(
+                out,
+                "{sites} via arrays as {}/{}; {grid_trials} grid trials",
+                mc.array, mc.criterion
+            );
+            variation_line(&mut out, mc);
+            let _ = write!(
+                out,
+                "system TTF median   : {:.2} years\nsystem TTF 0.3%ile  : {:.2} years\n\
+                 mean failures/trial : {:.1}\nmost critical sites :\n",
+                stat("ttf_median_years"),
+                stat("ttf_p03_years"),
+                stat("mean_failures")
+            );
+            for (site, count) in result.critical_sites(5) {
+                let _ = writeln!(out, "  site {site:>5}  failed in {count} trials");
+            }
+            variance_line(&mut out, variance);
+            let _ = writeln!(out, "{}", format_report(result.report()));
+        }
+        Outcome::Fea {
+            job,
+            table,
+            report,
+            cache,
+        } => {
+            let prim = &report.primitives[0];
+            let _ = write!(
+                out,
+                "array {} ({} pattern), resolution {} um (from {})\ncache          : {}\n\
+                 ordering       : {} (from {})\nkernels        : {} (from {})\n\
+                 solve          : {} ({} unknowns, {} iterations), {} thread(s), {:.0} ms\n\
+                 per-via peak tensile stress (MPa, row-major):\n",
+                job.array,
+                job.intersection,
+                job.resolution,
+                sources.of("resolution"),
+                cache
+                    .as_ref()
+                    .map_or("disabled".into(), |dir| dir.display().to_string()),
+                job.ordering.label(),
+                sources.of("solver.ordering"),
+                job.kernels.label(),
+                sources.of("solver.kernels"),
+                prim.solver,
+                prim.unknowns,
+                prim.iterations,
+                job.threads,
+                report.total_time.as_secs_f64() * 1e3
+            );
+            let entry = &table.entries()[0];
+            for row in entry.per_via_stress.chunks(entry.cols) {
+                let row: Vec<String> = row.iter().map(|s| format!("{:7.1}", s / 1e6)).collect();
+                let _ = writeln!(out, "  {}", row.join(" "));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// A number of a finite-checked result document, by dotted key.
+fn stat(doc: &Json, key: &str) -> f64 {
+    key.split('.')
+        .try_fold(doc, |d, k| d.get(k))
+        .and_then(Json::as_f64)
+        .unwrap_or(f64::NAN)
+}
+
+fn variation_line(out: &mut String, mc: &ResolvedMc) {
+    if let Some(v) = &mc.variation {
+        let _ = writeln!(
+            out,
+            "variation      : edge factor {}, sigma_T {} degC, sigma_w {}",
+            v.edge_current_factor, v.temperature_sigma_c, v.linewidth_sigma
+        );
+    }
+}
+
+fn variance_line(out: &mut String, variance: &Option<VarianceDecomposition>) {
+    if let Some(d) = variance {
+        let _ = writeln!(
+            out,
+            "ln-TTF variance: total {:.4} (void {:.4} + environment {:.4})",
+            d.total, d.void, d.environment
+        );
+    }
 }
 
 /// One-line execution summary appended to Monte Carlo reports.
@@ -286,173 +711,24 @@ fn format_report(report: &RunReport) -> String {
     line
 }
 
-fn parse_pattern(args: &[String]) -> Result<IntersectionPattern, CliError> {
-    match option_value(args, "--pattern").unwrap_or("plus") {
-        "plus" => Ok(IntersectionPattern::Plus),
-        "tee" | "t" => Ok(IntersectionPattern::Tee),
-        "ell" | "l" => Ok(IntersectionPattern::Ell),
-        other => Err(CliError(format!("unknown pattern `{other}`"))),
-    }
+fn read_text(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read `{path}`: {e}")))
 }
 
-fn parse_array(args: &[String]) -> Result<(ViaArrayConfig, &'static str), CliError> {
-    let pattern = parse_pattern(args)?;
-    match option_value(args, "--array").unwrap_or("4x4") {
-        "1x1" => Ok((ViaArrayConfig::paper_1x1(pattern), "1x1")),
-        "4x4" => Ok((ViaArrayConfig::paper_4x4(pattern), "4x4")),
-        "8x8" => Ok((ViaArrayConfig::paper_8x8(pattern), "8x8")),
-        other => Err(CliError(format!("unknown array `{other}`"))),
-    }
-}
-
-/// Mesh resolution precedence: `--resolution` flag, then the
-/// `EMGRID_RESOLUTION` environment variable, then 0.25 µm. Returns the
-/// value and which source supplied it.
-fn parse_resolution(args: &[String]) -> Result<(f64, &'static str), CliError> {
-    if let Some(v) = option_value(args, "--resolution") {
-        let r: f64 = v
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{v}` for --resolution")))?;
-        if !r.is_finite() || r <= 0.0 {
-            return Err(CliError("--resolution must be positive".to_owned()));
-        }
-        return Ok((r, "--resolution"));
-    }
-    if let Ok(v) = std::env::var("EMGRID_RESOLUTION") {
-        let r: f64 = v
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{v}` in EMGRID_RESOLUTION")))?;
-        if !r.is_finite() || r <= 0.0 {
-            return Err(CliError("EMGRID_RESOLUTION must be positive".to_owned()));
-        }
-        return Ok((r, "EMGRID_RESOLUTION"));
-    }
-    Ok((0.25, "default"))
-}
-
-/// Fill-reducing ordering precedence: `--ordering` flag, then the
-/// `EMGRID_ORDERING` environment variable, then AMD. Returns the value
-/// and which source supplied it.
-fn parse_ordering(args: &[String]) -> Result<(Ordering, &'static str), CliError> {
-    if let Some(v) = option_value(args, "--ordering") {
-        return Ordering::parse(v)
-            .map(|o| (o, "--ordering"))
-            .ok_or_else(|| {
-                CliError(format!(
-                    "unknown ordering `{v}` for --ordering (expected natural, rcm, amd or nd)"
-                ))
-            });
-    }
-    if let Ok(v) = std::env::var("EMGRID_ORDERING") {
-        return Ordering::parse(&v)
-            .map(|o| (o, "EMGRID_ORDERING"))
-            .ok_or_else(|| {
-                CliError(format!(
-                    "unknown ordering `{v}` in EMGRID_ORDERING (expected natural, rcm, amd or nd)"
-                ))
-            });
-    }
-    Ok((Ordering::default(), "default"))
-}
-
-/// Dense-panel microkernel backend precedence: `--kernels` flag, then
-/// the `EMGRID_KERNELS` environment variable, then `auto`. Returns the
-/// value and which source supplied it.
-fn parse_kernels(args: &[String]) -> Result<(KernelBackend, &'static str), CliError> {
-    if let Some(v) = option_value(args, "--kernels") {
-        return KernelBackend::parse(v)
-            .map(|k| (k, "--kernels"))
-            .ok_or_else(|| {
-                CliError(format!(
-                    "unknown kernel backend `{v}` for --kernels (expected auto, scalar or blocked)"
-                ))
-            });
-    }
-    if let Ok(v) = std::env::var("EMGRID_KERNELS") {
-        return KernelBackend::parse(&v)
-            .map(|k| (k, "EMGRID_KERNELS"))
-            .ok_or_else(|| {
-                CliError(format!(
-                    "unknown kernel backend `{v}` in EMGRID_KERNELS (expected auto, scalar or blocked)"
-                ))
-            });
-    }
-    Ok((KernelBackend::default(), "default"))
-}
-
-fn parse_criterion(args: &[String]) -> Result<FailureCriterion, CliError> {
-    match option_value(args, "--criterion").unwrap_or("rinf") {
-        "wl" | "weakest-link" => Ok(FailureCriterion::WeakestLink),
-        "r2x" => Ok(FailureCriterion::ResistanceRatio(2.0)),
-        "rinf" | "open" => Ok(FailureCriterion::OpenCircuit),
-        other => Err(CliError(format!("unknown criterion `{other}`"))),
-    }
-}
-
-/// One bounded, non-negative variation flag. The bounds mirror the serve
-/// spec layer's, so a flag combination that works here also works as a
-/// `variation` block in a job spec.
-fn variation_flag(args: &[String], name: &str, max: f64) -> Result<Option<f64>, CliError> {
-    match option_value(args, name) {
-        None => Ok(None),
-        Some(v) => {
-            let x: f64 = v
-                .parse()
-                .map_err(|_| CliError(format!("invalid value `{v}` for {name}")))?;
-            if !x.is_finite() || x < 0.0 || x > max {
-                return Err(CliError(format!("{name} must be in [0, {max}]")));
-            }
-            Ok(Some(x))
-        }
-    }
-}
-
-/// Parses the on-die variation flags shared by the Monte Carlo commands.
-/// `None` when no variation flag appears at all, so unvaried runs keep the
-/// legacy single-stream RNG draws (and their exact historical bytes);
-/// passing any flag — even at zero — opts into the sub-stream draws.
-fn parse_variation(args: &[String]) -> Result<Option<Variation>, CliError> {
-    let edge = variation_flag(args, "--edge-current-factor", 10.0)?;
-    let temperature = variation_flag(args, "--temperature-sigma", 100.0)?;
-    let linewidth = variation_flag(args, "--linewidth-sigma", 0.5)?;
-    let variance = args.iter().any(|a| a == "--variance-analysis");
-    if edge.is_none() && temperature.is_none() && linewidth.is_none() && !variance {
-        return Ok(None);
-    }
-    Ok(Some(Variation {
-        edge_current_factor: edge.unwrap_or(0.0),
-        temperature_sigma_c: temperature.unwrap_or(0.0),
-        linewidth_sigma: linewidth.unwrap_or(0.0),
-    }))
-}
-
-fn load_deck(args: &[String]) -> Result<emgrid_spice::Netlist, CliError> {
-    // First positional argument: skip `--option value` pairs.
-    let mut path = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&args[i]);
-            break;
-        }
-    }
-    let path = path.ok_or_else(|| CliError("missing deck path".to_owned()))?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
+/// Parses the deck at the positional path as-is (`lint` must see a broken
+/// deck's findings rather than have it rejected), with the optional
+/// shorted-via repair.
+fn load_deck(flags: &Flags<'_>) -> Result<emgrid_spice::Netlist, CliError> {
+    let text = read_text(flags.path()?)?;
     let mut netlist = parse(&text).map_err(|e| CliError(format!("parse error: {e}")))?;
-    if let Some(ohms) = option_value(args, "--repair-vias") {
-        let ohms: f64 = ohms
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{ohms}` for --repair-vias")))?;
-        repair_shorted_vias(&mut netlist, ohms);
+    if flags.has("--repair-vias") {
+        repair_shorted_vias(&mut netlist, flags.parsed("--repair-vias", 0.0)?);
     }
     Ok(netlist)
 }
 
-fn cmd_generate(args: &[String]) -> Result<String, CliError> {
-    let name = option_value(args, "--profile").unwrap_or("pg1");
+fn cmd_generate(flags: &Flags<'_>) -> Result<String, CliError> {
+    let name = flags.get("--profile").unwrap_or("pg1");
     let spec = GridSpec::profile(name).ok_or_else(|| {
         CliError(format!(
             "unknown profile `{name}` (expected {})",
@@ -462,8 +738,8 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
     Ok(write_string(&spec.generate()))
 }
 
-fn cmd_lint(args: &[String]) -> Result<String, CliError> {
-    let netlist = load_deck(args)?;
+fn cmd_lint(flags: &Flags<'_>) -> Result<String, CliError> {
+    let netlist = load_deck(flags)?;
     let issues = lint(&netlist);
     let mut out = String::new();
     let (r, v, i) = netlist.counts();
@@ -483,8 +759,8 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_irdrop(args: &[String]) -> Result<String, CliError> {
-    let netlist = load_deck(args)?;
+fn cmd_irdrop(flags: &Flags<'_>) -> Result<String, CliError> {
+    let netlist = load_deck(flags)?;
     let grid = PowerGrid::from_netlist(netlist).map_err(|e| CliError(e.to_string()))?;
     let report = IrDropReport::evaluate(&grid, grid.nominal_solution());
     let mut out = String::new();
@@ -508,208 +784,20 @@ fn cmd_irdrop(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_characterize(args: &[String]) -> Result<String, CliError> {
-    let (config, label) = parse_array(args)?;
-    let criterion = parse_criterion(args)?;
-    let trials = parse_usize(args, "--trials", 2000)?;
-    let seed = parse_u64(args, "--seed", 1)?;
-    let runtime = parse_runtime(args)?;
-    let variation = parse_variation(args)?;
-    let variance_analysis = args.iter().any(|a| a == "--variance-analysis");
-    let mut model = ViaArrayMc::from_reference_table(&config, Technology::default(), 1e10);
-    if let Some(v) = variation {
-        model = model.with_variation(v);
-    }
-    let (result, variance) = if variance_analysis {
-        let (result, decomposition) = model.characterize_with_variance(trials, seed, &runtime);
-        (result, Some(decomposition))
-    } else {
-        (model.characterize_with(trials, seed, &runtime), None)
+fn cmd_screen(flags: &Flags<'_>) -> Result<String, CliError> {
+    // The flags spell an `analyze` spec's deck, `screening` and `solver`
+    // blocks; the deck comes from either a benchmark profile (generated in
+    // memory, no 65 MB chip-scale file round-trip) or a positional path.
+    let (spec, sources) = job_spec("analyze", flags, &|var| std::env::var(var).ok())?;
+    let ResolvedJob::Analyze(job) = spec.resolve().map_err(|e| sources.attribute(e))? else {
+        return Err(CliError("screen needs an analyze spec".to_owned()));
     };
-    let ecdf = result.ecdf(criterion);
-    let fit = result
-        .fit_lognormal(criterion)
-        .map_err(|e| CliError(e.to_string()))?;
-    let ks = result
-        .fit_quality(criterion)
-        .map_err(|e| CliError(e.to_string()))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "array {label} ({} pattern), criterion {criterion}, {trials} trials",
-        config.pattern
-    );
-    if let Some(v) = variation {
-        let _ = writeln!(
-            out,
-            "variation      : edge factor {}, sigma_T {} degC, sigma_w {}",
-            v.edge_current_factor, v.temperature_sigma_c, v.linewidth_sigma
-        );
-    }
-    let _ = writeln!(
-        out,
-        "TTF median     : {:.2} years",
-        ecdf.median() / SECONDS_PER_YEAR
-    );
-    let _ = writeln!(
-        out,
-        "TTF 0.3%ile    : {:.2} years",
-        ecdf.worst_case() / SECONDS_PER_YEAR
-    );
-    let _ = writeln!(
-        out,
-        "lognormal fit  : median {:.2} years, sigma {:.3} (KS {:.3})",
-        fit.median() / SECONDS_PER_YEAR,
-        fit.sigma(),
-        ks
-    );
-    if let Some(d) = variance {
-        let _ = writeln!(
-            out,
-            "ln-TTF variance: total {:.4} (void {:.4} + environment {:.4})",
-            d.total, d.void, d.environment
-        );
-    }
-    let _ = writeln!(out, "{}", format_report(result.report()));
-    Ok(out)
-}
-
-fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
-    let netlist = load_deck(args)?;
-    let (config, label) = parse_array(args)?;
-    let criterion = parse_criterion(args)?;
-    let trials = parse_usize(args, "--trials", 2000)?;
-    let grid_trials = parse_usize(args, "--grid-trials", 200)?;
-    let seed = parse_u64(args, "--seed", 1)?;
-    let runtime = parse_runtime(args)?;
-    let (ordering, _) = parse_ordering(args)?;
-    let (kernels, _) = parse_kernels(args)?;
-    let variation = parse_variation(args)?;
-    let mut level1 = ViaArrayMc::from_reference_table(&config, Technology::default(), 1e10);
-    if let Some(v) = variation {
-        level1 = level1.with_variation(v);
-    }
-    let reliability = level1
-        .characterize_with(trials, seed, &runtime)
-        .reliability(criterion)
-        .map_err(|e| CliError(e.to_string()))?;
+    let (netlist, _) =
+        runner::load_deck(&job.deck, job.repair_vias, LOCAL_FILES).map_err(CliError)?;
     let grid = PowerGrid::from_netlist(netlist).map_err(|e| CliError(e.to_string()))?;
-    let sites = grid.via_sites().len();
-    let mut mc = PowerGridMc::new(grid, reliability)
-        .with_system_criterion(SystemCriterion::IrDropFraction(0.10))
-        .with_factor_options(
-            FactorOptions::default()
-                .with_ordering(ordering)
-                .with_kernels(kernels),
-        );
-    if let Some(v) = variation {
-        mc = mc.with_variation(GridVariation {
-            ttf_ln_sigma: v.grid_ttf_ln_sigma(&Technology::default()),
-            linewidth_sigma: v.linewidth_sigma,
-        });
-    }
-    let result = mc
-        .run_with(grid_trials, seed ^ 0xc11, &runtime)
+    let report = screen_grid(&grid, &Technology::default(), &screen_options(&job))
         .map_err(|e| CliError(e.to_string()))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{sites} via arrays as {label}/{criterion}; {grid_trials} grid trials"
-    );
-    if let Some(v) = variation {
-        let _ = writeln!(
-            out,
-            "variation      : edge factor {}, sigma_T {} degC, sigma_w {}",
-            v.edge_current_factor, v.temperature_sigma_c, v.linewidth_sigma
-        );
-    }
-    let _ = writeln!(
-        out,
-        "system TTF median   : {:.2} years",
-        result.median_years()
-    );
-    let _ = writeln!(
-        out,
-        "system TTF 0.3%ile  : {:.2} years",
-        result.worst_case_years()
-    );
-    let _ = writeln!(out, "mean failures/trial : {:.1}", result.mean_failures());
-    let _ = writeln!(out, "most critical sites :");
-    for (site, count) in result.critical_sites(5) {
-        let _ = writeln!(out, "  site {site:>5}  failed in {count} trials");
-    }
-    let _ = writeln!(out, "{}", format_report(result.report()));
-    Ok(out)
-}
-
-/// Operating-point solve engine: `--method` flag, defaulting to `auto`
-/// (direct below the size cutover, IC(0)-CG above).
-fn parse_method(args: &[String]) -> Result<Method, CliError> {
-    match option_value(args, "--method") {
-        None => Ok(Method::default()),
-        Some(v) => Method::parse(v).ok_or_else(|| {
-            CliError(format!(
-                "unknown method `{v}` for --method (expected auto, direct or cg)"
-            ))
-        }),
-    }
-}
-
-fn cmd_screen(args: &[String]) -> Result<String, CliError> {
-    // The deck comes from either a benchmark profile (generated in memory,
-    // no 65 MB chip-scale file round-trip) or a positional deck path.
-    let netlist = match option_value(args, "--profile") {
-        Some(name) => {
-            let spec = GridSpec::profile(name).ok_or_else(|| {
-                CliError(format!(
-                    "unknown profile `{name}` (expected {})",
-                    GridSpec::PROFILES.join(", ")
-                ))
-            })?;
-            spec.generate()
-        }
-        None => load_deck(args)?,
-    };
-    let (ordering, _) = parse_ordering(args)?;
-    let (kernels, _) = parse_kernels(args)?;
-    let method = parse_method(args)?;
-    let top_k = match option_value(args, "--top-k") {
-        None => None,
-        Some(v) => {
-            let k: usize = v
-                .parse()
-                .map_err(|_| CliError(format!("invalid value `{v}` for --top-k")))?;
-            if k == 0 {
-                return Err(CliError("--top-k must be at least 1".to_owned()));
-            }
-            Some(k)
-        }
-    };
-    let stress_threshold = match option_value(args, "--stress-threshold") {
-        None => None,
-        Some(v) => {
-            let s: f64 = v
-                .parse()
-                .map_err(|_| CliError(format!("invalid value `{v}` for --stress-threshold")))?;
-            if !s.is_finite() || s <= 0.0 {
-                return Err(CliError("--stress-threshold must be positive".to_owned()));
-            }
-            Some(s)
-        }
-    };
-    let grid = PowerGrid::from_netlist(netlist).map_err(|e| CliError(e.to_string()))?;
-    let options = ScreenOptions {
-        method,
-        factor: FactorOptions::default()
-            .with_ordering(ordering)
-            .with_kernels(kernels),
-        top_k,
-        stress_threshold,
-        ..ScreenOptions::default()
-    };
-    let report = screen_grid(&grid, &Technology::default(), &options)
-        .map_err(|e| CliError(e.to_string()))?;
-    if args.iter().any(|a| a == "--json") {
+    if flags.has("--json") {
         let mut out = report.to_json();
         out.push('\n');
         Ok(out)
@@ -718,94 +806,9 @@ fn cmd_screen(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn cmd_fea(args: &[String]) -> Result<String, CliError> {
-    let pattern = parse_pattern(args)?;
-    let (array, label) = match option_value(args, "--array").unwrap_or("4x4") {
-        "1x1" => (ViaArrayGeometry::paper_1x1(), "1x1"),
-        "4x4" => (ViaArrayGeometry::paper_4x4(), "4x4"),
-        "8x8" => (ViaArrayGeometry::paper_8x8(), "8x8"),
-        other => return Err(CliError(format!("unknown array `{other}`"))),
-    };
-    let (resolution, source) = parse_resolution(args)?;
-    let (ordering, ordering_source) = parse_ordering(args)?;
-    let (kernels, kernels_source) = parse_kernels(args)?;
-    let threads = parse_usize(args, "--fea-threads", 1)?;
-    if threads == 0 {
-        return Err(CliError("--fea-threads must be at least 1".to_owned()));
-    }
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let model = CharacterizationModel {
-        pattern,
-        array,
-        resolution,
-        ..CharacterizationModel::default()
-    };
-    let cache = if no_cache {
-        None
-    } else if let Some(dir) = option_value(args, "--cache-dir") {
-        Some(StressCache::new(dir))
-    } else {
-        StressCache::open_default()
-    };
-    let caching = match &cache {
-        Some(c) => format!("{}", c.dir().display()),
-        None => "disabled".to_owned(),
-    };
-    let opts = FeaOptions {
-        threads,
-        ordering,
-        kernels,
-        cache,
-        ..FeaOptions::default()
-    };
-    let (table, report) =
-        StressTable::characterize_with_fea_opts(&[(model, LayerPair::IntermediateTop)], &opts)
-            .map_err(|e| CliError(e.to_string()))?;
-    let entry = &table.entries()[0];
-    let prim = &report.primitives[0];
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "array {label} ({pattern} pattern), resolution {resolution} um (from {source})"
-    );
-    let _ = writeln!(out, "cache          : {caching}");
-    let _ = writeln!(
-        out,
-        "ordering       : {} (from {ordering_source})",
-        ordering.label()
-    );
-    let _ = writeln!(
-        out,
-        "kernels        : {} (from {kernels_source})",
-        kernels.label()
-    );
-    let _ = writeln!(
-        out,
-        "solve          : {} ({} unknowns, {} iterations), {} thread(s), {:.0} ms",
-        prim.solver,
-        prim.unknowns,
-        prim.iterations,
-        threads,
-        report.total_time.as_secs_f64() * 1e3
-    );
-    let _ = writeln!(out, "per-via peak tensile stress (MPa, row-major):");
-    for r in 0..entry.rows {
-        let row: Vec<String> = (0..entry.cols)
-            .map(|c| format!("{:7.1}", entry.per_via_stress[r * entry.cols + c] / 1e6))
-            .collect();
-        let _ = writeln!(out, "  {}", row.join(" "));
-    }
-    Ok(out)
-}
-
-fn cmd_signoff(args: &[String]) -> Result<String, CliError> {
-    let netlist = load_deck(args)?;
-    let target_years: f64 = match option_value(args, "--target-years") {
-        None => 10.0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{v}` for --target-years")))?,
-    };
+fn cmd_signoff(flags: &Flags<'_>) -> Result<String, CliError> {
+    let netlist = load_deck(flags)?;
+    let target_years: f64 = flags.parsed("--target-years", 10.0)?;
     let tech = Technology::default();
     let black = BlackModel::from_accelerated_test(&tech, 3e10, 300.0);
     let grid = PowerGrid::from_netlist(netlist).map_err(|e| CliError(e.to_string()))?;
@@ -858,57 +861,30 @@ fn cmd_signoff(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Parses the `serve` flags into a daemon configuration.
-fn serve_config(args: &[String]) -> Result<ServeConfig, CliError> {
+fn serve_config(flags: &Flags<'_>) -> Result<ServeConfig, CliError> {
     let defaults = ServeConfig::default();
-    let workers = parse_usize(args, "--workers", defaults.workers)?;
-    if workers == 0 {
-        return Err(CliError("--workers must be at least 1".to_owned()));
-    }
-    let queue_depth = parse_usize(args, "--queue-depth", defaults.queue_depth)?;
-    if queue_depth == 0 {
-        return Err(CliError("--queue-depth must be at least 1".to_owned()));
-    }
-    let max_connections = parse_usize(args, "--max-connections", defaults.max_connections)?;
-    if max_connections == 0 {
-        return Err(CliError("--max-connections must be at least 1".to_owned()));
-    }
-    let max_netlist_lines = parse_usize(args, "--max-netlist-lines", defaults.max_netlist_lines)?;
-    if max_netlist_lines == 0 {
-        return Err(CliError(
-            "--max-netlist-lines must be at least 1".to_owned(),
-        ));
-    }
     Ok(ServeConfig {
-        addr: option_value(args, "--addr")
-            .unwrap_or("127.0.0.1:8080")
-            .to_owned(),
-        workers,
-        queue_depth,
-        checkpoint_every: parse_usize(args, "--checkpoint-every", defaults.checkpoint_every)?,
-        state_dir: option_value(args, "--state-dir")
-            .map(Into::into)
-            .unwrap_or(defaults.state_dir),
-        cache_dir: option_value(args, "--cache-dir").map(Into::into),
-        max_body_bytes: parse_usize(args, "--max-body-bytes", defaults.max_body_bytes)?,
-        max_netlist_lines,
-        max_connections,
+        addr: flags.get("--addr").unwrap_or("127.0.0.1:8080").to_owned(),
+        workers: flags.count("--workers", defaults.workers)?,
+        queue_depth: flags.count("--queue-depth", defaults.queue_depth)?,
+        checkpoint_every: flags.parsed("--checkpoint-every", defaults.checkpoint_every)?,
+        state_dir: flags
+            .get("--state-dir")
+            .map_or(defaults.state_dir, Into::into),
+        cache_dir: flags.get("--cache-dir").map(Into::into),
+        max_body_bytes: flags.parsed("--max-body-bytes", defaults.max_body_bytes)?,
+        max_netlist_lines: flags.count("--max-netlist-lines", defaults.max_netlist_lines)?,
+        max_connections: flags.count("--max-connections", defaults.max_connections)?,
         request_deadline: defaults.request_deadline,
-        debug_panic_route: args.iter().any(|a| a == "--debug-panic-route"),
-        io: match option_value(args, "--io") {
+        debug_panic_route: flags.has("--debug-panic-route"),
+        io: match flags.get("--io") {
             None => defaults.io,
             Some(value) => value
                 .parse()
                 .map_err(|e: String| CliError(format!("--io: {e}")))?,
         },
-        dispatchers: {
-            let dispatchers = parse_usize(args, "--dispatchers", defaults.dispatchers)?;
-            if dispatchers == 0 {
-                return Err(CliError("--dispatchers must be at least 1".to_owned()));
-            }
-            dispatchers
-        },
-        max_in_flight_per_client: parse_usize(
-            args,
+        dispatchers: flags.count("--dispatchers", defaults.dispatchers)?,
+        max_in_flight_per_client: flags.parsed(
             "--max-in-flight-per-client",
             defaults.max_in_flight_per_client,
         )?,
@@ -919,36 +895,15 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, CliError> {
 /// Runs one sweep spec to completion on an in-process backend and prints
 /// where the aggregated report landed. Sharing `--state-dir` with a prior
 /// interrupted run resumes it from the completed jobs.
-fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
+fn cmd_sweep(flags: &Flags<'_>) -> Result<String, CliError> {
     use emgrid_batch::{LocalBackend, SweepEngine};
 
-    // First positional argument: the sweep spec path.
-    let mut path = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&args[i]);
-            break;
-        }
-    }
-    let path = path.ok_or_else(|| CliError("missing sweep spec path".to_owned()))?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
+    let text = read_text(flags.path()?)?;
 
-    let workers = parse_usize(args, "--workers", 2)?;
-    if workers == 0 {
-        return Err(CliError("--workers must be at least 1".to_owned()));
-    }
-    let checkpoint_every = parse_usize(args, "--checkpoint-every", 64)?;
-    let max_in_flight = parse_usize(args, "--max-in-flight", 2 * workers)?;
-    if max_in_flight == 0 {
-        return Err(CliError("--max-in-flight must be at least 1".to_owned()));
-    }
-    let state_dir: std::path::PathBuf = option_value(args, "--state-dir")
-        .unwrap_or("results/jobs")
-        .into();
+    let workers = flags.count("--workers", 2)?;
+    let checkpoint_every = flags.parsed("--checkpoint-every", 64)?;
+    let max_in_flight = flags.count("--max-in-flight", 2 * workers)?;
+    let state_dir: std::path::PathBuf = flags.get("--state-dir").unwrap_or("results/jobs").into();
 
     let backend = LocalBackend::open(&state_dir, workers, checkpoint_every)
         .map_err(|e| CliError(format!("cannot open state dir: {e}")))?;
@@ -958,12 +913,9 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
         max_in_flight,
     )
     .map_err(|e| CliError(format!("cannot open sweep store: {e}")))?;
-    let submission = engine.submit_text(&text).map_err(|e| {
-        CliError(match &e.field {
-            Some(field) => format!("invalid sweep spec at `{field}`: {e}"),
-            None => format!("invalid sweep spec: {e}"),
-        })
-    })?;
+    let submission = engine
+        .submit_text(&text)
+        .map_err(|e| spec_error("sweep", e))?;
     engine.wait_idle();
 
     let status = engine
@@ -995,42 +947,22 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
 /// (persisted) document to stdout — the same strict checks the HTTP API
 /// and the sweep engine apply, including full axis expansion, with the
 /// same field attribution, but with no daemon and no state directory.
-fn cmd_validate(args: &[String]) -> Result<String, CliError> {
+fn cmd_validate(flags: &Flags<'_>) -> Result<String, CliError> {
     use emgrid_scenarios::SweepSpec;
-    use emgrid_serve::json::{self, Json};
-    use emgrid_serve::{JobSpec, SpecError};
 
-    // First positional argument: the spec path.
-    let mut path = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&args[i]);
-            break;
-        }
-    }
-    let path = path.ok_or_else(|| CliError("missing spec path".to_owned()))?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
+    let path = flags.path()?;
+    let text = read_text(path)?;
     let doc =
         json::parse(&text).map_err(|e| CliError(format!("`{path}` is not valid JSON: {e}")))?;
-    let spec_err = |kind: &str, e: SpecError| {
-        CliError(match &e.field {
-            Some(field) => format!("invalid {kind} spec at `{field}`: {e}"),
-            None => format!("invalid {kind} spec: {e}"),
-        })
-    };
     // A `kind` key marks a job spec; everything else is tried as a sweep.
     let is_job = matches!(&doc, Json::Obj(pairs) if pairs.iter().any(|(k, _)| k == "kind"));
     let mut canonical = if is_job {
-        let spec = JobSpec::from_json(&doc).map_err(|e| spec_err("job", e))?;
-        spec.resolve().map_err(|e| spec_err("job", e))?;
+        let spec = JobSpec::from_json(&doc).map_err(|e| spec_error("job", e))?;
+        spec.resolve().map_err(|e| spec_error("job", e))?;
         spec.to_json().to_string()
     } else {
-        let spec = SweepSpec::from_json(&doc).map_err(|e| spec_err("sweep", e))?;
-        spec.expand().map_err(|e| spec_err("sweep", e))?;
+        let spec = SweepSpec::from_json(&doc).map_err(|e| spec_error("sweep", e))?;
+        spec.expand().map_err(|e| spec_error("sweep", e))?;
         spec.canonical_string()
     };
     canonical.push('\n');
@@ -1040,11 +972,11 @@ fn cmd_validate(args: &[String]) -> Result<String, CliError> {
 /// Runs the daemon in the foreground until the process is killed. Prints
 /// the bound address before blocking so scripts can discover an ephemeral
 /// port (`--addr 127.0.0.1:0`).
-fn cmd_serve(args: &[String]) -> Result<String, CliError> {
+fn cmd_serve(flags: &Flags<'_>) -> Result<String, CliError> {
     use emgrid_batch::SweepEngine;
     use std::sync::Arc;
 
-    let config = serve_config(args)?;
+    let config = serve_config(flags)?;
     let state_dir = config.state_dir.clone();
     let workers = config.workers;
     let server =
@@ -1078,6 +1010,11 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    fn serve(s: &str) -> Result<ServeConfig, CliError> {
+        let args = argv(s);
+        serve_config(&Flags::parse("serve", &command("serve").unwrap(), &args)?)
+    }
+
     #[test]
     fn no_args_prints_usage() {
         let err = run(&[]).unwrap_err();
@@ -1098,12 +1035,12 @@ mod tests {
 
     #[test]
     fn serve_flags_parse_into_a_config() {
-        let cfg = serve_config(&argv(
+        let cfg = serve(
             "--addr 127.0.0.1:0 --workers 3 --queue-depth 9 --checkpoint-every 5 \
              --state-dir /tmp/emgrid-jobs --cache-dir /tmp/emgrid-cache --max-body-bytes 4096 \
              --max-netlist-lines 3000000 --max-connections 17 --debug-panic-route \
              --io threads --dispatchers 3 --max-in-flight-per-client 8",
-        ))
+        )
         .unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(
@@ -1123,7 +1060,7 @@ mod tests {
         assert_eq!(cfg.dispatchers, 3);
         assert_eq!(cfg.max_in_flight_per_client, 8);
 
-        let defaults = serve_config(&[]).unwrap();
+        let defaults = serve("").unwrap();
         assert_eq!(defaults.addr, "127.0.0.1:8080");
         assert_eq!(defaults.max_netlist_lines, 400_000);
         assert!(defaults.cache_dir.is_none());
@@ -1132,15 +1069,15 @@ mod tests {
         #[cfg(unix)]
         assert_eq!(defaults.io, emgrid_serve::IoBackend::Poll);
         assert_eq!(
-            serve_config(&argv("--io poll")).unwrap().io,
+            serve("--io poll").unwrap().io,
             emgrid_serve::IoBackend::Poll
         );
-        assert!(serve_config(&argv("--io epoll")).is_err());
-        assert!(serve_config(&argv("--workers 0")).is_err());
-        assert!(serve_config(&argv("--queue-depth 0")).is_err());
-        assert!(serve_config(&argv("--max-connections 0")).is_err());
-        assert!(serve_config(&argv("--max-netlist-lines 0")).is_err());
-        assert!(serve_config(&argv("--dispatchers 0")).is_err());
+        assert!(serve("--io epoll").is_err());
+        assert!(serve("--workers 0").is_err());
+        assert!(serve("--queue-depth 0").is_err());
+        assert!(serve("--max-connections 0").is_err());
+        assert!(serve("--max-netlist-lines 0").is_err());
+        assert!(serve("--dispatchers 0").is_err());
     }
 
     #[test]
@@ -1186,6 +1123,13 @@ mod tests {
         assert!(run(&argv("characterize --threads 0")).is_err());
         assert!(run(&argv("characterize --target-ci 0")).is_err());
         assert!(run(&argv("characterize --target-ci tight")).is_err());
+        // The CLI inherits the spec bounds, naming the flag at fault.
+        let err = run(&argv("characterize --trials 2000000")).unwrap_err();
+        assert!(err.0.starts_with("--trials: "), "{}", err.0);
+        let err = run(&argv("characterize --threads 65")).unwrap_err();
+        assert!(err.0.starts_with("--threads: "), "{}", err.0);
+        assert!(run(&argv("characterize --trials 0")).is_err());
+        assert!(run(&argv("characterize --seed")).is_err(), "missing value");
     }
 
     #[test]
@@ -1502,50 +1446,300 @@ mod tests {
         assert!(run(&argv("fea --fea-threads 0")).is_err());
         assert!(run(&argv("fea --ordering best")).is_err());
         assert!(run(&argv("fea --kernels simd")).is_err());
+        let err = run(&argv("fea --resolution 6")).unwrap_err();
+        assert!(
+            err.0.contains("--resolution: resolution 6 out of range"),
+            "{}",
+            err.0
+        );
+        assert!(run(&argv("fea --fea-threads 65")).is_err());
+    }
+
+    /// The canonical spec `cmd` builds from `args` (with no environment).
+    fn cli_spec(cmd: &str, args: &[String]) -> JobSpec {
+        let flags = Flags::parse(cmd, &command(cmd).unwrap(), args).unwrap();
+        job_spec(cmd, &flags, &|_| None).unwrap().0
+    }
+
+    /// The daemon's result document for `spec`, from `run_job` on a
+    /// one-worker engine.
+    fn daemon_doc(spec: &JobSpec, tag: &str) -> Json {
+        use emgrid_runtime::JobEngine;
+        use emgrid_serve::metrics::Metrics;
+        use emgrid_serve::runner::{run_job, RunEnv};
+        use emgrid_serve::JobStore;
+
+        let root = std::env::temp_dir().join(format!("emgrid-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = JobStore::open(&root).unwrap();
+        let engine: JobEngine<String> = JobEngine::new(1, 1);
+        let spec = spec.clone();
+        let store2 = store.clone();
+        let id = engine
+            .submit(move |ctx| {
+                let metrics = Metrics::default();
+                let env = RunEnv {
+                    store: &store2,
+                    metrics: &metrics,
+                    checkpoint_every: 0,
+                    cache_dir: None,
+                    max_netlist_bytes: IngestLimits::default().max_bytes,
+                    max_netlist_lines: IngestLimits::default().max_lines,
+                    phases: None,
+                };
+                run_job(&spec, ctx, &env)
+            })
+            .unwrap();
+        engine
+            .wait_terminal(id, std::time::Duration::from_secs(120))
+            .unwrap();
+        let snap = engine.snapshot(id).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        json::parse(&snap.result.unwrap_or_else(|| panic!("{:?}", snap.error))).unwrap()
     }
 
     #[test]
-    fn kernels_flag_beats_env_var_and_env_beats_default() {
-        // One test mutates EMGRID_KERNELS to avoid races.
-        std::env::set_var("EMGRID_KERNELS", "scalar");
-        let (k, src) = parse_kernels(&argv("--kernels blocked")).unwrap();
-        assert_eq!((k, src), (KernelBackend::Blocked, "--kernels"));
-        let (k, src) = parse_kernels(&argv("")).unwrap();
-        assert_eq!((k, src), (KernelBackend::Scalar, "EMGRID_KERNELS"));
-        std::env::set_var("EMGRID_KERNELS", "fastest");
-        assert!(parse_kernels(&argv("")).is_err());
-        std::env::remove_var("EMGRID_KERNELS");
-        let (k, src) = parse_kernels(&argv("")).unwrap();
-        assert_eq!((k, src), (KernelBackend::Auto, "default"));
+    fn cli_specs_are_pinned_and_report_the_daemons_numbers() {
+        let deck = write_string(&GridSpec::custom("cli-parity", 8, 8).generate());
+        let path =
+            std::env::temp_dir().join(format!("emgrid_cli_parity_{}.sp", std::process::id()));
+        std::fs::write(&path, &deck).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let cases = [
+            (
+                "characterize",
+                "--array 8x8 --pattern t --criterion weakest-link --trials 300 --seed 4 \
+                 --edge-current-factor 0.5 --variance-analysis",
+                r#"{"kind":"characterize","array":"8x8","pattern":"tee","criterion":"wl","trials":300,"seed":4,"threads":1,"variation":{"edge_current_factor":0.5,"temperature_sigma_c":0,"linewidth_sigma":0,"variance_analysis":true}}"#,
+                &[
+                    ("TTF median     : ", "ttf_median_years", 2),
+                    ("TTF 0.3%ile    : ", "ttf_p03_years", 2),
+                    ("lognormal fit  : median ", "lognormal_median_years", 2),
+                    (" sigma ", "lognormal_sigma", 3),
+                    ("(KS ", "ks", 3),
+                    ("ln-TTF variance: total ", "variation.variance.total", 4),
+                ][..],
+            ),
+            (
+                "analyze",
+                "--pattern l --criterion open --trials 120 --grid-trials 6 --seed 2 \
+                 --ordering rcm --repair-vias 0.5 --threads 2",
+                r#"{"kind":"analyze","array":"4x4","pattern":"ell","criterion":"rinf","trials":120,"seed":2,"threads":2,"grid_trials":6,"netlist":"<deck>","repair_vias":0.5,"solver":{"ordering":"rcm","supernodal":true}}"#,
+                &[
+                    ("system TTF median   : ", "ttf_median_years", 2),
+                    ("system TTF 0.3%ile  : ", "ttf_p03_years", 2),
+                    ("mean failures/trial : ", "mean_failures", 1),
+                ][..],
+            ),
+            (
+                "fea",
+                "--array 1x1 --resolution 0.5 --no-cache --kernels scalar --fea-threads 2",
+                r#"{"kind":"fea","array":"1x1","pattern":"plus","resolution":0.5,"threads":2,"use_cache":false,"solver":{"ordering":"amd","kernels":"scalar"}}"#,
+                &[("  ", "per_via_stress_mpa", 1)][..],
+            ),
+        ];
+        for (cmd, flags, pinned, numbers) in cases {
+            let mut args = argv(flags);
+            if cmd == "analyze" {
+                args.insert(0, path.clone());
+            }
+            let spec = cli_spec(cmd, &args);
+            let canonical = spec
+                .to_json()
+                .to_string()
+                .replace(&Json::s(&deck).to_string(), "\"<deck>\"");
+            assert_eq!(canonical, pinned, "{cmd}");
+
+            args.insert(0, cmd.to_owned());
+            let text = run(&args).unwrap();
+            let doc = daemon_doc(&spec, cmd);
+            for (prefix, key, decimals) in numbers {
+                let value = match doc.get(key) {
+                    Some(Json::Arr(items)) => items[0].as_f64().unwrap(),
+                    _ => stat(&doc, key),
+                };
+                let expected = format!("{prefix}{value:.decimals$}");
+                let expected = expected.trim_start_matches(' ');
+                assert!(
+                    text.contains(expected),
+                    "{cmd}: `{expected}` not in\n{text}"
+                );
+            }
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn ordering_flag_beats_env_var_and_env_beats_default() {
-        // One test mutates EMGRID_ORDERING to avoid races.
-        std::env::set_var("EMGRID_ORDERING", "rcm");
-        let (o, src) = parse_ordering(&argv("--ordering natural")).unwrap();
-        assert_eq!((o, src), (Ordering::Natural, "--ordering"));
-        let (o, src) = parse_ordering(&argv("")).unwrap();
-        assert_eq!((o, src), (Ordering::Rcm, "EMGRID_ORDERING"));
-        std::env::set_var("EMGRID_ORDERING", "fastest");
-        assert!(parse_ordering(&argv("")).is_err());
-        std::env::remove_var("EMGRID_ORDERING");
-        let (o, src) = parse_ordering(&argv("")).unwrap();
-        assert_eq!((o, src), (Ordering::Amd, "default"));
+    fn env_backed_knobs_resolve_flag_then_env_then_default() {
+        // Per variable: (flag value, env value, bad env value, default).
+        let values = [
+            ("EMGRID_RESOLUTION", "0.5", "0.7", "junk", "0.25"),
+            ("EMGRID_ORDERING", "natural", "rcm", "fastest", "amd"),
+            ("EMGRID_KERNELS", "blocked", "scalar", "fastest", "auto"),
+        ];
+        let deck = std::env::temp_dir().join(format!("emgrid_cli_env_{}.sp", std::process::id()));
+        std::fs::write(
+            &deck,
+            write_string(&GridSpec::custom("cli-env", 4, 4).generate()),
+        )
+        .unwrap();
+        let deck = deck.to_string_lossy().into_owned();
+        // The resolved value of an env-backed key.
+        let resolved = |job: &ResolvedJob, key: &str| -> String {
+            let (ordering, kernels, resolution) = match job {
+                ResolvedJob::Fea(f) => (f.ordering, f.kernels, f.resolution.to_string()),
+                ResolvedJob::Analyze(a) => (a.factor.ordering, a.factor.kernels, String::new()),
+                ResolvedJob::Characterize(_) => unreachable!("no env-backed knobs"),
+            };
+            match key {
+                "resolution" => resolution,
+                "solver.ordering" => ordering.label().to_owned(),
+                "solver.kernels" => kernels.label().to_owned(),
+                other => panic!("untested env-backed key `{other}`"),
+            }
+        };
+        let mut seen = Vec::new();
+        for (cmd, base) in [
+            ("analyze", deck.clone()),
+            ("screen", "--profile pg1".to_owned()),
+            ("fea", String::new()),
+        ] {
+            let kind = if cmd == "fea" { "fea" } else { "analyze" };
+            let cmd_knobs = command(cmd).unwrap().knobs;
+            for knob in cmd_knobs.iter().flat_map(|g| g.iter()) {
+                let Some(var) = knob.env else { continue };
+                let (_, flag_value, env_value, bad, default) = *values
+                    .iter()
+                    .find(|v| v.0 == var)
+                    .expect("a case per variable");
+                seen.push(var);
+                let spell = |args: &str, env: Option<&str>| {
+                    let args = argv(&format!("{base} {args}"));
+                    let env = |name: &str| (name == var).then(|| env.map(str::to_owned)).flatten();
+                    let flags = Flags::parse(cmd, &command(cmd).unwrap(), &args)?;
+                    let (spec, sources) = job_spec(kind, &flags, &env)?;
+                    let job = spec.resolve().map_err(|e| sources.attribute(e))?;
+                    Ok::<_, CliError>((resolved(&job, knob.key), sources.of(knob.key)))
+                };
+                let flag_args = format!("{} {flag_value}", knob.flag);
+                // Flag beats env, env beats default.
+                assert_eq!(
+                    spell(&flag_args, Some(env_value)).unwrap(),
+                    (flag_value.to_owned(), knob.flag),
+                    "{cmd} {var}"
+                );
+                assert_eq!(
+                    spell("", Some(env_value)).unwrap(),
+                    (env_value.to_owned(), var),
+                    "{cmd}"
+                );
+                assert_eq!(
+                    spell("", None).unwrap(),
+                    (default.to_owned(), "default"),
+                    "{cmd}"
+                );
+                // A bad env value is an error naming the variable, unless
+                // the flag overrides it.
+                let err = spell("", Some(bad)).unwrap_err();
+                assert!(err.0.starts_with(&format!("{var}: ")), "{cmd}: {}", err.0);
+                assert!(spell(&flag_args, Some(bad)).is_ok(), "{cmd} {var}");
+            }
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(
+            seen,
+            ["EMGRID_KERNELS", "EMGRID_ORDERING", "EMGRID_RESOLUTION"]
+        );
+        std::fs::remove_file(deck).ok();
     }
 
     #[test]
-    fn resolution_flag_beats_env_var_and_env_beats_default() {
-        // One test mutates the process environment to avoid races.
-        std::env::set_var("EMGRID_RESOLUTION", "0.7");
-        let (r, src) = parse_resolution(&argv("--resolution 0.5")).unwrap();
-        assert_eq!((r, src), (0.5, "--resolution"));
-        let (r, src) = parse_resolution(&argv("")).unwrap();
-        assert_eq!((r, src), (0.7, "EMGRID_RESOLUTION"));
-        std::env::set_var("EMGRID_RESOLUTION", "junk");
-        assert!(parse_resolution(&argv("")).is_err());
-        std::env::remove_var("EMGRID_RESOLUTION");
-        let (r, src) = parse_resolution(&argv("")).unwrap();
-        assert_eq!((r, src), (0.25, "default"));
+    fn switches_before_the_path_do_not_swallow_it() {
+        for (cmd, switch) in [
+            ("screen", "--json"),
+            ("analyze", "--trace"),
+            ("analyze", "--variance-analysis"),
+            ("lint", "--trace"),
+        ] {
+            let args = argv(&format!("{switch} deck.sp --repair-vias 0.5"));
+            let flags = Flags::parse(cmd, &command(cmd).unwrap(), &args).unwrap();
+            assert_eq!(flags.path().unwrap(), "deck.sp", "{cmd} {switch}");
+            assert!(flags.has(switch));
+            assert_eq!(flags.get("--repair-vias"), Some("0.5"));
+        }
+        let args = argv("--no-cache --resolution 0.5");
+        let flags = Flags::parse("fea", &command("fea").unwrap(), &args).unwrap();
+        assert_eq!(flags.get("--resolution"), Some("0.5"));
+
+        // End to end: a switch ahead of the deck path.
+        let deck = write_string(&GridSpec::custom("cli-switch", 8, 8).generate());
+        let path =
+            std::env::temp_dir().join(format!("emgrid_cli_switch_{}.sp", std::process::id()));
+        std::fs::write(&path, deck).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let out = run(&["screen".into(), "--json".into(), path.clone()]).unwrap();
+        assert!(out.contains("\"kind\":\"screen\""), "{out}");
+        let out = run(&argv(&format!(
+            "analyze --variance-analysis {path} --trials 60 --grid-trials 4"
+        )))
+        .unwrap();
+        assert!(out.contains("ln-TTF variance: total "), "{out}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for (args, flag) in [
+            ("characterize --trails 50 --trials 100", "--trails"),
+            ("analyze deck.sp --grid-trails 10", "--grid-trails"),
+            ("fea --reslution 1", "--reslution"),
+            ("screen --profile pg1 --topk 3", "--topk"),
+            ("sweep spec.json --out /tmp/x", "--out"),
+            ("lint deck.sp --fix", "--fix"),
+            ("generate --profle pg1", "--profle"),
+            ("serve --port 80", "--port"),
+            ("validate spec.json --strict", "--strict"),
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(
+                err.0.contains(&format!("unknown flag `{flag}`")),
+                "{args}: {}",
+                err.0
+            );
+        }
+        // A flag of another command is unknown here too.
+        assert!(run(&argv("characterize --grid-trials 5")).is_err());
+        assert!(run(&argv("characterize stray")).is_err());
+        // `--trace` is global.
+        let args = argv("--trace");
+        assert!(Flags::parse("validate", &command("validate").unwrap(), &args).is_ok());
+    }
+
+    #[test]
+    fn analyze_rejects_decks_with_fatal_lint_findings() {
+        // A resistor to a node nothing else touches leaves it floating.
+        let mut deck = write_string(&GridSpec::custom("cli-lint", 4, 4).generate());
+        deck.push_str("Rdangle n_dangling_a n_dangling_b 1.0\n");
+        let path = std::env::temp_dir().join(format!("emgrid_cli_lint_{}.sp", std::process::id()));
+        std::fs::write(&path, deck).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let err = run(&argv(&format!(
+            "analyze {path} --trials 20 --grid-trials 2"
+        )))
+        .unwrap_err();
+        assert!(err.0.contains("netlist rejected"), "{}", err.0);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn usage_documents_every_spec_knob() {
+        for cmd in ["characterize", "analyze", "screen", "fea"] {
+            for knob in command(cmd).unwrap().knobs.iter().flat_map(|g| g.iter()) {
+                assert!(USAGE.contains(knob.flag), "{}", knob.flag);
+                let key = knob.key.rsplit('.').next().unwrap();
+                assert!(USAGE.contains(key), "{cmd} {} -> {}", knob.flag, knob.key);
+            }
+        }
     }
 }

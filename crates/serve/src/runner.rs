@@ -1,39 +1,40 @@
-//! Executes accepted jobs inside the engine's worker threads.
+//! Executes jobs: the one spec → result pipeline behind the daemon, sweeps
+//! and the CLI. [`execute`] runs a [`ResolvedJob`] to a typed [`Outcome`]
+//! under optional [`Hooks`] — seed derivation, current density, variation
+//! and screening setup live there alone — and [`result_doc`] renders the
+//! outcome. [`run_job`] wires the hooks to the daemon's [`JobStore`]; the
+//! `emgrid` CLI runs the same two steps with no hooks and renders text.
 //!
-//! Every job runs a deterministic pipeline keyed only by its canonical
-//! spec: the result document contains statistics but never timing,
-//! thread-count or resume telemetry, so the same spec (and seed) yields
-//! byte-identical `result.json` whether the job ran cold, warm, on one
-//! worker or eight, straight through or resumed from a checkpoint after a
-//! `kill -9`. Checkpoints stream to the [`JobStore`] with atomic renames;
-//! cancellation (client delete or daemon shutdown) commits a final
-//! checkpoint via the runtime's session machinery and reports
-//! [`JobOutcome::Cancelled`] so a later restart can pick the work back up.
+//! The result document depends only on the canonical spec: it holds
+//! statistics but never timing, thread-count or resume telemetry, so a
+//! spec yields byte-identical `result.json` cold or warm, on one worker or
+//! eight, straight through or resumed from a checkpoint after a `kill -9`.
+//! Checkpoints stream to the store with atomic renames; cancellation
+//! commits a final checkpoint and reports [`JobOutcome::Cancelled`] so a
+//! later restart can pick the work back up.
 
 use std::collections::{HashMap, VecDeque};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use emgrid_em::{Technology, SECONDS_PER_YEAR};
 use emgrid_fea::geometry::CharacterizationModel;
 use emgrid_pg::{
-    GridCheckpoint, GridSession, GridVariation, PowerGrid, PowerGridMc, SystemCriterion,
+    GridCheckpoint, GridSession, GridVariation, McResult, PowerGrid, PowerGridMc, SystemCriterion,
 };
-use emgrid_runtime::{JobCtx, JobId, JobOutcome};
-use emgrid_screen::{screen_grid, ScreenOptions};
+use emgrid_runtime::{CancelToken, JobCtx, JobId, JobOutcome};
+use emgrid_screen::{screen_grid, ScreenOptions, ScreenReport};
 use emgrid_spice::ingest::{ingest, IngestLimits, IngestOptions};
-use emgrid_spice::GridSpec;
+use emgrid_spice::{GridSpec, Netlist};
 use emgrid_via::{
-    CharacterizationResult, FailureCriterion, FeaOptions, LayerPair, StressCache, StressTable,
+    CharacterizationResult, FeaOptions, FeaReport, LayerPair, StressCache, StressTable,
     VarianceDecomposition, ViaArrayMc, ViaCheckpoint, ViaSession,
 };
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::spec::{
-    DeckSource, JobSpec, ResolvedAnalyze, ResolvedFea, ResolvedJob, ResolvedMc, VariationSpec,
-};
+use crate::spec::{DeckSource, JobSpec, ResolvedAnalyze, ResolvedFea, ResolvedJob, ResolvedMc};
 use crate::store::JobStore;
 
 /// Jobs whose phase timings stay queryable after the map would otherwise
@@ -102,12 +103,88 @@ pub struct RunEnv<'a> {
     pub phases: Option<&'a PhaseLog>,
 }
 
-impl RunEnv<'_> {
-    fn record_phase(&self, id: JobId, phase: &'static str, started: Instant) {
-        if let Some(log) = self.phases {
-            log.record(id, phase, started.elapsed().as_secs_f64());
+/// The optional hooks and limits [`execute`] runs under. The daemon wires
+/// them to its job store; a one-shot caller leaves them at their defaults.
+#[derive(Default)]
+pub struct Hooks<'a> {
+    /// Cooperative cancellation, polled between trials.
+    pub cancel: Option<&'a CancelToken>,
+    /// Encoded checkpoint of the checkpointed Monte Carlo level (level 1
+    /// for `characterize`, level 2 for `analyze`) to resume from.
+    pub resume: Option<String>,
+    /// Trials between checkpoints; 0 disables periodic checkpointing.
+    pub checkpoint_every: usize,
+    /// Receives each encoded checkpoint.
+    pub on_checkpoint: Option<&'a dyn Fn(&str)>,
+    /// Receives `(phase, seconds)` as each [`PhaseLog`] phase ends.
+    pub on_phase: Option<&'a dyn Fn(&'static str, f64)>,
+    /// Size caps for an `analyze` job's netlist.
+    pub limits: IngestLimits,
+    /// Stress-cache directory override for `fea` jobs.
+    pub cache_dir: Option<&'a Path>,
+}
+
+impl Hooks<'_> {
+    /// Runs one phase, reporting its wall time.
+    fn timed<T>(&self, phase: &'static str, run: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let out = run();
+        if let Some(on_phase) = self.on_phase {
+            on_phase(phase, started.elapsed().as_secs_f64());
+        }
+        out
+    }
+
+    fn checkpoint(&self, encode: impl FnOnce() -> String) {
+        if let Some(on_checkpoint) = self.on_checkpoint {
+            on_checkpoint(&encode());
         }
     }
+}
+
+/// What [`execute`] produced: the typed results, run telemetry included,
+/// with the resolved parameters [`result_doc`] echoes.
+pub enum Outcome {
+    /// Level-1 characterization, with the ln-TTF variance split when the
+    /// spec asked for one.
+    Characterize {
+        mc: ResolvedMc,
+        result: CharacterizationResult,
+        variance: Option<VarianceDecomposition>,
+    },
+    /// Two-level analysis: the deck label (benchmark or `inline`), its
+    /// via-array site count, the level-2 result, and the screening report
+    /// and level-1 variance split when the spec asked for them.
+    Analyze {
+        mc: ResolvedMc,
+        grid_trials: usize,
+        deck: String,
+        sites: usize,
+        result: McResult,
+        screen: Option<ScreenReport>,
+        variance: Option<VarianceDecomposition>,
+    },
+    /// One-primitive FEA, with the stress cache it consulted.
+    Fea {
+        job: ResolvedFea,
+        table: StressTable,
+        report: FeaReport,
+        cache: Option<PathBuf>,
+    },
+}
+
+/// Why [`execute`] stopped short of an [`Outcome`].
+#[derive(Debug)]
+pub enum Halt {
+    /// The job observed its cancellation token.
+    Cancelled,
+    /// The job failed, with a client-readable reason.
+    Failed(String),
+}
+
+/// Wraps an error as a job failure, prefixed with what failed.
+fn failed<E: std::fmt::Display>(what: &str) -> impl FnOnce(E) -> Halt + '_ {
+    move |e| Halt::Failed(format!("{what}: {e}"))
 }
 
 /// Runs one job to an outcome. Never panics on bad input — every failure
@@ -115,242 +192,187 @@ impl RunEnv<'_> {
 pub fn run_job(spec: &JobSpec, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutcome<String> {
     // Accepted specs always resolve; a failure here means a hand-built or
     // tampered spec reached a worker, and the field-level message says why.
-    let resolved = match spec.resolve() {
-        Ok(resolved) => resolved,
+    let job = match spec.resolve() {
+        Ok(job) => job,
         Err(e) => return JobOutcome::Failed(format!("spec failed to resolve: {e}")),
     };
-    match resolved {
-        ResolvedJob::Characterize(mc) => run_characterize(&mc, ctx, env),
-        ResolvedJob::Analyze(job) => run_analyze(&job, ctx, env),
-        ResolvedJob::Fea(job) => run_fea(&job, ctx.id, env),
-    }
-}
-
-fn run_characterize(mc: &ResolvedMc, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutcome<String> {
-    let mut model =
-        ViaArrayMc::from_reference_table(&mc.config, Technology::default(), mc.current_density);
-    if let Some(v) = &mc.variation {
-        model = model.with_variation(v.to_via());
-    }
-
-    let resume = env
-        .store
-        .read_checkpoint(ctx.id)
-        .and_then(|text| ViaCheckpoint::decode(&text).ok());
-    let mut on_checkpoint = |cp: &ViaCheckpoint| {
-        if env.store.write_checkpoint(ctx.id, &cp.encode()).is_ok() {
+    let on_checkpoint = |encoded: &str| {
+        if env.store.write_checkpoint(ctx.id, encoded).is_ok() {
             ctx.note_checkpoint();
             Metrics::inc(&env.metrics.checkpoints);
         }
     };
-    let session = ViaSession {
-        resume,
+    let on_phase = |phase: &'static str, seconds: f64| {
+        if let Some(log) = env.phases {
+            log.record(ctx.id, phase, seconds);
+        }
+    };
+    let hooks = Hooks {
         cancel: Some(&ctx.cancel),
+        resume: env.store.read_checkpoint(ctx.id),
         checkpoint_every: env.checkpoint_every,
+        on_checkpoint: Some(&on_checkpoint),
+        on_phase: Some(&on_phase),
+        limits: IngestLimits {
+            max_bytes: env.max_netlist_bytes,
+            max_lines: env.max_netlist_lines,
+        },
+        cache_dir: env.cache_dir,
+    };
+    match execute(&job, &hooks).and_then(|outcome| result_doc(&outcome).map_err(Halt::Failed)) {
+        Ok(doc) => JobOutcome::Done(doc.to_string()),
+        Err(Halt::Cancelled) => JobOutcome::Cancelled,
+        Err(Halt::Failed(e)) => JobOutcome::Failed(e),
+    }
+}
+
+/// Runs a resolved job under `hooks` to its typed [`Outcome`].
+///
+/// # Errors
+///
+/// [`Halt`] when the job is cancelled or fails.
+pub fn execute(job: &ResolvedJob, hooks: &Hooks<'_>) -> Result<Outcome, Halt> {
+    match job {
+        ResolvedJob::Characterize(mc) => characterize(mc, hooks),
+        ResolvedJob::Analyze(job) => analyze(job, hooks),
+        ResolvedJob::Fea(job) => fea(job, hooks),
+    }
+}
+
+/// The level-1 model of a spec: the paper's reference stress table at the
+/// spec's current density, varied when the spec has a `variation` block.
+fn level1_model(mc: &ResolvedMc) -> ViaArrayMc {
+    let model =
+        ViaArrayMc::from_reference_table(&mc.config, Technology::default(), mc.current_density);
+    match &mc.variation {
+        Some(v) => model.with_variation(v.to_via()),
+        None => model,
+    }
+}
+
+/// A level-1 run that finished: not cancelled before or during its trials.
+fn finished(result: Option<CharacterizationResult>) -> Result<CharacterizationResult, Halt> {
+    result
+        .filter(|r| !r.report().cancelled)
+        .ok_or(Halt::Cancelled)
+}
+
+fn characterize(mc: &ResolvedMc, hooks: &Hooks<'_>) -> Result<Outcome, Halt> {
+    let model = level1_model(mc);
+    let mut on_checkpoint = |cp: &ViaCheckpoint| hooks.checkpoint(|| cp.encode());
+    let session = ViaSession {
+        resume: hooks
+            .resume
+            .as_deref()
+            .and_then(|t| ViaCheckpoint::decode(t).ok()),
+        cancel: hooks.cancel,
+        checkpoint_every: hooks.checkpoint_every,
         on_checkpoint: Some(&mut on_checkpoint),
     };
-    let mc_start = Instant::now();
-    let outcome = model.characterize_session(mc.trials, mc.seed, &mc.runtime, session);
-    env.record_phase(ctx.id, "mc", mc_start);
-    let Some(result) = outcome else {
-        return JobOutcome::Cancelled;
-    };
-    if result.report().cancelled {
-        return JobOutcome::Cancelled;
-    }
-
-    let ecdf = result.ecdf(mc.criterion);
-    let fit = match result.fit_lognormal(mc.criterion) {
-        Ok(fit) => fit,
-        Err(e) => return JobOutcome::Failed(format!("lognormal fit failed: {e}")),
-    };
-    let ks = match result.fit_quality(mc.criterion) {
-        Ok(ks) => ks,
-        Err(e) => return JobOutcome::Failed(format!("fit quality failed: {e}")),
-    };
-    let mut doc = vec![
-        ("kind".into(), Json::s("characterize")),
-        ("array".into(), Json::s(&mc.array)),
-        ("pattern".into(), Json::s(&mc.pattern)),
-        ("criterion".into(), Json::s(&mc.criterion_label)),
-        ("trials".into(), Json::n(mc.trials as f64)),
-        ("seed".into(), Json::n(mc.seed as f64)),
-        (
-            "trials_run".into(),
-            Json::n(result.report().trials_run as f64),
-        ),
-        (
-            "ttf_median_years".into(),
-            Json::n(ecdf.median() / SECONDS_PER_YEAR),
-        ),
-        (
-            "ttf_p03_years".into(),
-            Json::n(ecdf.worst_case() / SECONDS_PER_YEAR),
-        ),
-        (
-            "lognormal_median_years".into(),
-            Json::n(fit.median() / SECONDS_PER_YEAR),
-        ),
-        ("lognormal_sigma".into(), Json::n(fit.sigma())),
-        ("ks".into(), Json::n(ks)),
-    ];
-    // Variation is opt-in; unvaried result documents keep their
-    // historical bytes.
-    if let Some(v) = &mc.variation {
-        let variance = if v.variance_analysis {
-            match frozen_variance(&model, v, mc, ctx, &result) {
-                Some(d) => Some(d),
-                None => return JobOutcome::Cancelled,
-            }
-        } else {
-            None
-        };
-        doc.push(("variation".into(), variation_doc(v, variance.as_ref())));
-    }
-    JobOutcome::Done(Json::Obj(doc).to_string())
+    let outcome = hooks.timed("mc", || {
+        model.characterize_session(mc.trials, mc.seed, &mc.runtime, session)
+    });
+    let result = finished(outcome)?;
+    Ok(Outcome::Characterize {
+        variance: frozen_variance(&model, mc, hooks, &result)?,
+        mc: mc.clone(),
+        result,
+    })
 }
 
-/// The result-document `variation` block: the knobs that shaped the run,
-/// plus the variance decomposition when the spec asked for one.
-fn variation_doc(v: &VariationSpec, variance: Option<&VarianceDecomposition>) -> Json {
-    let mut pairs = vec![
-        ("edge_current_factor".into(), Json::n(v.edge_current_factor)),
-        ("temperature_sigma_c".into(), Json::n(v.temperature_sigma_c)),
-        ("linewidth_sigma".into(), Json::n(v.linewidth_sigma)),
-    ];
-    if let Some(d) = variance {
-        pairs.push((
-            "variance".into(),
-            Json::Obj(vec![
-                ("total".into(), Json::n(d.total)),
-                ("void".into(), Json::n(d.void)),
-                ("environment".into(), Json::n(d.environment)),
-            ]),
-        ));
-    }
-    Json::Obj(pairs)
-}
-
-/// Runs the frozen-fields companion Monte Carlo (same seed; the void
-/// sub-stream is shared trial for trial) and decomposes the open-circuit
-/// `ln TTF` variance over the common committed prefix. `None` means the
-/// companion run was cancelled.
+/// The ln-TTF variance split of `varied` (see
+/// [`ViaArrayMc::variance_split`]), when the spec asks for one.
 fn frozen_variance(
     model: &ViaArrayMc,
-    spec: &VariationSpec,
     mc: &ResolvedMc,
-    ctx: &JobCtx,
+    hooks: &Hooks<'_>,
     varied: &CharacterizationResult,
-) -> Option<VarianceDecomposition> {
-    let frozen_model = model.clone().with_variation(spec.to_via().frozen_fields());
-    let session = ViaSession {
-        cancel: Some(&ctx.cancel),
-        ..ViaSession::default()
-    };
-    let frozen = frozen_model.characterize_session(mc.trials, mc.seed, &mc.runtime, session)?;
-    if frozen.report().cancelled {
-        return None;
+) -> Result<Option<VarianceDecomposition>, Halt> {
+    if !mc.variation.is_some_and(|v| v.variance_analysis) {
+        return Ok(None);
     }
-    let ln = |xs: Vec<f64>| -> Vec<f64> {
-        xs.into_iter()
-            .map(|x| x.max(f64::MIN_POSITIVE).ln())
-            .collect()
-    };
-    let lv = ln(varied.ttf_samples(FailureCriterion::OpenCircuit));
-    let lf = ln(frozen.ttf_samples(FailureCriterion::OpenCircuit));
-    let common = lv.len().min(lf.len());
-    if common < 2 {
-        return Some(VarianceDecomposition {
-            total: 0.0,
-            void: 0.0,
-            environment: 0.0,
-        });
-    }
-    Some(VarianceDecomposition::from_ln_samples(
-        &lv[..common],
-        &lf[..common],
-    ))
+    let split = model.variance_split(varied, mc.trials, mc.seed, &mc.runtime, hooks.cancel);
+    split.map(Some).ok_or(Halt::Cancelled)
 }
 
-fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutcome<String> {
-    let mc = &job.mc;
-    // Materialize the grid.
-    let ingest_start = Instant::now();
-    let (netlist, deck_label) = match &job.deck {
+/// The netlist an `analyze` spec names, and its label: a benchmark profile
+/// is generated, an inline deck goes through [`ingest`] under `limits`,
+/// which rejects fatal lint findings with a client-readable message.
+pub fn load_deck(
+    deck: &DeckSource,
+    repair_vias: Option<f64>,
+    limits: IngestLimits,
+) -> Result<(Netlist, String), String> {
+    match deck {
         DeckSource::Benchmark(name) => {
             let spec = GridSpec::profile(name).unwrap_or_else(GridSpec::pg1);
-            (spec.generate(), name.clone())
+            Ok((spec.generate(), name.clone()))
         }
-        DeckSource::Netlist(text) => {
-            let options = IngestOptions {
-                limits: IngestLimits {
-                    max_bytes: env.max_netlist_bytes,
-                    max_lines: env.max_netlist_lines,
-                },
-                repair_vias: job.repair_vias,
-            };
-            match ingest(text, &options) {
-                Ok(ok) => (ok.netlist, "inline".to_owned()),
-                Err(e) => return JobOutcome::Failed(format!("netlist rejected: {e}")),
-            }
-        }
-    };
-    env.record_phase(ctx.id, "ingest", ingest_start);
+        DeckSource::Netlist(text) => ingest(
+            text,
+            &IngestOptions {
+                limits,
+                repair_vias,
+            },
+        )
+        .map(|ok| (ok.netlist, "inline".to_owned()))
+        .map_err(|e| format!("netlist rejected: {e}")),
+    }
+}
+
+/// The screening pass an `analyze` spec's `screening` and `solver` blocks
+/// ask for (no `screening` block: rank every via array).
+pub fn screen_options(job: &ResolvedAnalyze) -> ScreenOptions {
+    let screening = job.screening.unwrap_or_default();
+    ScreenOptions {
+        method: job.method,
+        factor: job.factor,
+        top_k: screening.top_k,
+        stress_threshold: screening.stress_threshold,
+        ..ScreenOptions::default()
+    }
+}
+
+fn analyze(job: &ResolvedAnalyze, hooks: &Hooks<'_>) -> Result<Outcome, Halt> {
+    let mc = &job.mc;
+    let (netlist, deck) = hooks
+        .timed("ingest", || {
+            load_deck(&job.deck, job.repair_vias, hooks.limits)
+        })
+        .map_err(Halt::Failed)?;
 
     // Level 1: via-array characterization (deterministic, re-run in full on
     // resume — only the level-2 grid loop is checkpointed).
-    let mut model =
-        ViaArrayMc::from_reference_table(&mc.config, Technology::default(), mc.current_density);
-    if let Some(v) = &mc.variation {
-        model = model.with_variation(v.to_via());
-    }
+    let model = level1_model(mc);
     let level1 = ViaSession {
-        cancel: Some(&ctx.cancel),
+        cancel: hooks.cancel,
         ..ViaSession::default()
     };
-    let level1_start = Instant::now();
-    let level1_outcome = model.characterize_session(mc.trials, mc.seed, &mc.runtime, level1);
-    env.record_phase(ctx.id, "level1", level1_start);
-    let Some(characterization) = level1_outcome else {
-        return JobOutcome::Cancelled;
-    };
-    if characterization.report().cancelled {
-        return JobOutcome::Cancelled;
-    }
-    let reliability = match characterization.reliability(mc.criterion) {
-        Ok(r) => r,
-        Err(e) => return JobOutcome::Failed(format!("level-1 fit failed: {e}")),
-    };
+    let characterization = finished(hooks.timed("level1", || {
+        model.characterize_session(mc.trials, mc.seed, &mc.runtime, level1)
+    }))?;
+    let reliability = characterization
+        .reliability(mc.criterion)
+        .map_err(failed("level-1 fit failed"))?;
 
     // Level 2: system Monte Carlo over the grid, checkpointed.
-    let grid = match PowerGrid::from_netlist(netlist) {
-        Ok(g) => g,
-        Err(e) => return JobOutcome::Failed(format!("grid construction failed: {e}")),
-    };
+    let grid = PowerGrid::from_netlist(netlist).map_err(failed("grid construction failed"))?;
     let sites = grid.via_sites().len();
 
     // Optional prefilter: steady-state screening ranks every via array in
     // one linear-time pass, and the grid Monte Carlo then simulates only
     // the selected subset.
     let screen = match &job.screening {
-        Some(s) => {
-            let screen_start = Instant::now();
-            let options = ScreenOptions {
-                method: job.method,
-                factor: job.factor,
-                top_k: s.top_k,
-                stress_threshold: s.stress_threshold,
-                ..ScreenOptions::default()
-            };
-            let report = match screen_grid(&grid, &Technology::default(), &options) {
-                Ok(report) => report,
-                Err(e) => return JobOutcome::Failed(format!("screening failed: {e}")),
-            };
-            env.record_phase(ctx.id, "screen", screen_start);
+        Some(_) => {
+            let report = hooks
+                .timed("screen", || {
+                    screen_grid(&grid, &Technology::default(), &screen_options(job))
+                })
+                .map_err(failed("screening failed"))?;
             if report.selected_scores().is_empty() {
-                return JobOutcome::Failed(
+                return Err(Halt::Failed(
                     "screening selected no via arrays: stress_threshold excludes every site".into(),
-                );
+                ));
             }
             Some(report)
         }
@@ -371,127 +393,48 @@ fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutc
     if let Some(report) = &screen {
         grid_mc = grid_mc.with_active_sites(&report.selected_sites());
     }
-    let resume = env
-        .store
-        .read_checkpoint(ctx.id)
-        .and_then(|text| GridCheckpoint::decode(&text).ok());
-    let mut on_checkpoint = |cp: &GridCheckpoint| {
-        if env.store.write_checkpoint(ctx.id, &cp.encode()).is_ok() {
-            ctx.note_checkpoint();
-            Metrics::inc(&env.metrics.checkpoints);
-        }
-    };
+    let mut on_checkpoint = |cp: &GridCheckpoint| hooks.checkpoint(|| cp.encode());
     let session = GridSession {
-        resume,
-        cancel: Some(&ctx.cancel),
-        checkpoint_every: env.checkpoint_every,
+        resume: hooks
+            .resume
+            .as_deref()
+            .and_then(|t| GridCheckpoint::decode(t).ok()),
+        cancel: hooks.cancel,
+        checkpoint_every: hooks.checkpoint_every,
         on_checkpoint: Some(&mut on_checkpoint),
     };
-    let level2_start = Instant::now();
-    let level2_outcome =
-        grid_mc.run_session(job.grid_trials, mc.seed ^ 0xc11, &mc.runtime, session);
-    env.record_phase(ctx.id, "level2", level2_start);
-    let result = match level2_outcome {
-        Ok(r) => r,
-        Err(e) => return JobOutcome::Failed(format!("grid Monte Carlo failed: {e}")),
-    };
+    let result = hooks
+        .timed("level2", || {
+            grid_mc.run_session(job.grid_trials, mc.seed ^ 0xc11, &mc.runtime, session)
+        })
+        .map_err(failed("grid Monte Carlo failed"))?;
     if result.report().cancelled {
-        return JobOutcome::Cancelled;
+        return Err(Halt::Cancelled);
     }
-
-    let critical = Json::Arr(
-        result
-            .critical_sites(5)
-            .into_iter()
-            .map(|(site, count)| Json::Arr(vec![Json::n(site as f64), Json::n(count as f64)]))
-            .collect(),
-    );
-    let mut doc = vec![
-        ("kind".into(), Json::s("analyze")),
-        ("deck".into(), Json::s(deck_label)),
-        ("array".into(), Json::s(&mc.array)),
-        ("pattern".into(), Json::s(&mc.pattern)),
-        ("criterion".into(), Json::s(&mc.criterion_label)),
-        ("trials".into(), Json::n(mc.trials as f64)),
-        ("grid_trials".into(), Json::n(job.grid_trials as f64)),
-        ("seed".into(), Json::n(mc.seed as f64)),
-        ("sites".into(), Json::n(sites as f64)),
-    ];
-    // Variation rides in its own block, like screening below; unvaried
-    // documents keep their historical bytes.
-    if let Some(v) = &mc.variation {
-        let variance = if v.variance_analysis {
-            match frozen_variance(&model, v, mc, ctx, &characterization) {
-                Some(d) => Some(d),
-                None => return JobOutcome::Cancelled,
-            }
-        } else {
-            None
-        };
-        doc.push(("variation".into(), variation_doc(v, variance.as_ref())));
-    }
-    // Screened jobs record both the screen scores and the MC results in
-    // one document; unscreened jobs keep their historical bytes.
-    if let Some(report) = &screen {
-        let scores = Json::Arr(
-            report
-                .selected_scores()
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("site".into(), Json::n(s.site as f64)),
-                        ("name".into(), Json::s(&s.name)),
-                        ("stress_pa".into(), Json::n(s.stress_pa)),
-                        ("criticality".into(), Json::n(s.criticality)),
-                        ("current_a".into(), Json::n(s.current_a)),
-                    ])
-                })
-                .collect(),
-        );
-        doc.push((
-            "screening".into(),
-            Json::Obj(vec![
-                ("trees".into(), Json::n(report.trees as f64)),
-                (
-                    "critical_stress_pa".into(),
-                    Json::n(report.critical_stress_pa),
-                ),
-                (
-                    "selected".into(),
-                    Json::n(report.selected_scores().len() as f64),
-                ),
-                ("scores".into(), scores),
-            ]),
-        ));
-    }
-    doc.extend([
-        (
-            "grid_trials_run".into(),
-            Json::n(result.report().trials_run as f64),
-        ),
-        ("ttf_median_years".into(), Json::n(result.median_years())),
-        ("ttf_p03_years".into(), Json::n(result.worst_case_years())),
-        ("mean_failures".into(), Json::n(result.mean_failures())),
-        ("critical_sites".into(), critical),
-    ]);
-    JobOutcome::Done(Json::Obj(doc).to_string())
+    Ok(Outcome::Analyze {
+        variance: frozen_variance(&model, mc, hooks, &characterization)?,
+        mc: mc.clone(),
+        grid_trials: job.grid_trials,
+        deck,
+        sites,
+        result,
+        screen,
+    })
 }
 
-fn run_fea(job: &ResolvedFea, id: JobId, env: &RunEnv<'_>) -> JobOutcome<String> {
+fn fea(job: &ResolvedFea, hooks: &Hooks<'_>) -> Result<Outcome, Halt> {
     let model = CharacterizationModel {
         pattern: job.intersection,
         array: job.geometry,
         resolution: job.resolution,
         ..CharacterizationModel::default()
     };
-    let cache = if job.use_cache {
-        match env.cache_dir {
-            Some(dir) => Some(StressCache::new(dir)),
-            None => StressCache::open_default(),
-        }
-    } else {
-        None
+    let cache = match (job.use_cache, hooks.cache_dir) {
+        (false, _) => None,
+        (true, Some(dir)) => Some(StressCache::new(dir)),
+        (true, None) => StressCache::open_default(),
     };
+    let cache_dir = cache.as_ref().map(|c| c.dir().to_path_buf());
     let opts = FeaOptions {
         threads: job.threads,
         ordering: job.ordering,
@@ -499,36 +442,186 @@ fn run_fea(job: &ResolvedFea, id: JobId, env: &RunEnv<'_>) -> JobOutcome<String>
         cache,
         ..FeaOptions::default()
     };
-    let fea_start = Instant::now();
-    let fea_outcome =
-        StressTable::characterize_with_fea_opts(&[(model, LayerPair::IntermediateTop)], &opts);
-    env.record_phase(id, "fea", fea_start);
-    let (table, report) = match fea_outcome {
-        Ok(out) => out,
-        Err(e) => return JobOutcome::Failed(format!("FEA failed: {e}")),
+    let (table, report) = hooks
+        .timed("fea", || {
+            StressTable::characterize_with_fea_opts(&[(model, LayerPair::IntermediateTop)], &opts)
+        })
+        .map_err(failed("FEA failed"))?;
+    Ok(Outcome::Fea {
+        job: job.clone(),
+        table,
+        report,
+        cache: cache_dir,
+    })
+}
+
+/// Renders an outcome as its result document: statistics only, never
+/// timing or thread counts, in a fixed key order. Variation and screening
+/// blocks are opt-in, so documents without them keep their historical
+/// bytes.
+///
+/// # Errors
+///
+/// A client-readable message when a fit fails or a statistic is not
+/// finite: JSON has no NaN/Inf, and writing one as `null` would ship a
+/// broken statistic as a valid-looking document.
+pub fn result_doc(outcome: &Outcome) -> Result<Json, String> {
+    let doc = match outcome {
+        Outcome::Characterize {
+            mc,
+            result,
+            variance,
+        } => {
+            let ecdf = result.ecdf(mc.criterion);
+            let fit = result
+                .fit_lognormal(mc.criterion)
+                .map_err(|e| format!("lognormal fit failed: {e}"))?;
+            let ks = result
+                .fit_quality(mc.criterion)
+                .map_err(|e| format!("fit quality failed: {e}"))?;
+            let years = |seconds: f64| Json::n(seconds / SECONDS_PER_YEAR);
+            let trials_run = result.report().trials_run as f64;
+            let mut doc = vec![
+                ("kind".into(), Json::s("characterize")),
+                ("array".into(), Json::s(&mc.array)),
+                ("pattern".into(), Json::s(&mc.pattern)),
+                ("criterion".into(), Json::s(&mc.criterion_label)),
+                ("trials".into(), Json::n(mc.trials as f64)),
+                ("seed".into(), Json::n(mc.seed as f64)),
+                ("trials_run".into(), Json::n(trials_run)),
+                ("ttf_median_years".into(), years(ecdf.median())),
+                ("ttf_p03_years".into(), years(ecdf.worst_case())),
+                ("lognormal_median_years".into(), years(fit.median())),
+                ("lognormal_sigma".into(), Json::n(fit.sigma())),
+                ("ks".into(), Json::n(ks)),
+            ];
+            doc.extend(variation_doc(mc, variance.as_ref()));
+            doc
+        }
+        Outcome::Analyze {
+            mc,
+            grid_trials,
+            deck,
+            sites,
+            result,
+            screen,
+            variance,
+        } => {
+            let mut doc = vec![
+                ("kind".into(), Json::s("analyze")),
+                ("deck".into(), Json::s(deck)),
+                ("array".into(), Json::s(&mc.array)),
+                ("pattern".into(), Json::s(&mc.pattern)),
+                ("criterion".into(), Json::s(&mc.criterion_label)),
+                ("trials".into(), Json::n(mc.trials as f64)),
+                ("grid_trials".into(), Json::n(*grid_trials as f64)),
+                ("seed".into(), Json::n(mc.seed as f64)),
+                ("sites".into(), Json::n(*sites as f64)),
+            ];
+            doc.extend(variation_doc(mc, variance.as_ref()));
+            doc.extend(screen.as_ref().map(screening_doc));
+            let critical = result
+                .critical_sites(5)
+                .into_iter()
+                .map(|(site, count)| Json::Arr(vec![Json::n(site as f64), Json::n(count as f64)]));
+            doc.extend([
+                (
+                    "grid_trials_run".into(),
+                    Json::n(result.report().trials_run as f64),
+                ),
+                ("ttf_median_years".into(), Json::n(result.median_years())),
+                ("ttf_p03_years".into(), Json::n(result.worst_case_years())),
+                ("mean_failures".into(), Json::n(result.mean_failures())),
+                ("critical_sites".into(), Json::Arr(critical.collect())),
+            ]);
+            doc
+        }
+        Outcome::Fea {
+            job, table, report, ..
+        } => {
+            let entry = &table.entries()[0];
+            let stress = entry.per_via_stress.iter().map(|s| Json::n(s / 1e6));
+            vec![
+                ("kind".into(), Json::s("fea")),
+                ("array".into(), Json::s(&job.array)),
+                ("pattern".into(), Json::s(&job.pattern)),
+                ("resolution".into(), Json::n(job.resolution)),
+                ("rows".into(), Json::n(entry.rows as f64)),
+                ("cols".into(), Json::n(entry.cols as f64)),
+                (
+                    "unknowns".into(),
+                    Json::n(report.primitives[0].unknowns as f64),
+                ),
+                ("per_via_stress_mpa".into(), Json::Arr(stress.collect())),
+            ]
+        }
     };
-    let entry = &table.entries()[0];
-    let prim = &report.primitives[0];
-    let doc = Json::Obj(vec![
-        ("kind".into(), Json::s("fea")),
-        ("array".into(), Json::s(&job.array)),
-        ("pattern".into(), Json::s(&job.pattern)),
-        ("resolution".into(), Json::n(job.resolution)),
-        ("rows".into(), Json::n(entry.rows as f64)),
-        ("cols".into(), Json::n(entry.cols as f64)),
-        ("unknowns".into(), Json::n(prim.unknowns as f64)),
+    let doc = Json::Obj(doc);
+    check_finite(&doc, "")?;
+    Ok(doc)
+}
+
+/// The result-document `variation` block, present when the spec varied
+/// the run: its knobs, plus the variance decomposition when asked for.
+fn variation_doc(
+    mc: &ResolvedMc,
+    variance: Option<&VarianceDecomposition>,
+) -> Option<(String, Json)> {
+    let v = mc.variation?;
+    let mut pairs = vec![
+        ("edge_current_factor".into(), Json::n(v.edge_current_factor)),
+        ("temperature_sigma_c".into(), Json::n(v.temperature_sigma_c)),
+        ("linewidth_sigma".into(), Json::n(v.linewidth_sigma)),
+    ];
+    if let Some(d) = variance {
+        pairs.push((
+            "variance".into(),
+            Json::Obj(vec![
+                ("total".into(), Json::n(d.total)),
+                ("void".into(), Json::n(d.void)),
+                ("environment".into(), Json::n(d.environment)),
+            ]),
+        ));
+    }
+    Some(("variation".into(), Json::Obj(pairs)))
+}
+
+/// The result-document `screening` block: the selected sites' scores.
+fn screening_doc(report: &ScreenReport) -> (String, Json) {
+    let scores = report.selected_scores().iter().map(|s| {
+        Json::Obj(vec![
+            ("site".into(), Json::n(s.site as f64)),
+            ("name".into(), Json::s(&s.name)),
+            ("stress_pa".into(), Json::n(s.stress_pa)),
+            ("criticality".into(), Json::n(s.criticality)),
+            ("current_a".into(), Json::n(s.current_a)),
+        ])
+    });
+    let selected = report.selected_scores().len() as f64;
+    let block = vec![
+        ("trees".into(), Json::n(report.trees as f64)),
         (
-            "per_via_stress_mpa".into(),
-            Json::Arr(
-                entry
-                    .per_via_stress
-                    .iter()
-                    .map(|s| Json::n(s / 1e6))
-                    .collect(),
-            ),
+            "critical_stress_pa".into(),
+            Json::n(report.critical_stress_pa),
         ),
-    ]);
-    JobOutcome::Done(doc.to_string())
+        ("selected".into(), Json::n(selected)),
+        ("scores".into(), Json::Arr(scores.collect())),
+    ];
+    ("screening".into(), Json::Obj(block))
+}
+
+/// Fails on the first NaN/Inf number in `doc`, naming its dotted key
+/// (array elements report the array's key).
+fn check_finite(doc: &Json, key: &str) -> Result<(), String> {
+    match doc {
+        Json::Num(n) if !n.is_finite() => Err(format!("non-finite statistic `{key}`")),
+        Json::Arr(items) => items.iter().try_for_each(|v| check_finite(v, key)),
+        Json::Obj(pairs) => pairs.iter().try_for_each(|(k, v)| match key {
+            "" => check_finite(v, k),
+            _ => check_finite(v, &format!("{key}.{k}")),
+        }),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -813,5 +906,44 @@ mod tests {
         };
         assert!(message.contains("netlist rejected"), "{message}");
         let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn non_finite_statistics_fail_naming_their_key() {
+        let doc = |sigma: f64| {
+            Json::Obj(vec![
+                ("kind".into(), Json::s("characterize")),
+                ("lognormal_sigma".into(), Json::n(sigma)),
+                (
+                    "variation".into(),
+                    Json::Obj(vec![(
+                        "variance".into(),
+                        Json::Obj(vec![("total".into(), Json::n(sigma))]),
+                    )]),
+                ),
+                (
+                    "per_via".into(),
+                    Json::Arr(vec![Json::n(1.0), Json::n(sigma)]),
+                ),
+            ])
+        };
+        assert_eq!(check_finite(&doc(0.25), ""), Ok(()));
+        assert_eq!(
+            check_finite(&doc(f64::NAN), ""),
+            Err("non-finite statistic `lognormal_sigma`".to_owned())
+        );
+        let Json::Obj(mut pairs) = doc(f64::INFINITY) else {
+            unreachable!()
+        };
+        pairs.remove(1);
+        assert_eq!(
+            check_finite(&Json::Obj(pairs.clone()), ""),
+            Err("non-finite statistic `variation.variance.total`".to_owned())
+        );
+        pairs.remove(1);
+        assert_eq!(
+            check_finite(&Json::Obj(pairs), ""),
+            Err("non-finite statistic `per_via`".to_owned())
+        );
     }
 }

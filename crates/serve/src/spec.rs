@@ -33,8 +33,9 @@ const MAX_TRIALS: usize = 1_000_000;
 const MAX_THREADS: usize = 64;
 
 /// Reference current density for via-array characterization (A/m²) when a
-/// spec does not set `current_density`, matching the CLI's
-/// `characterize`/`analyze` commands and the paper's stress tables.
+/// spec does not set `current_density`: the density of the paper's stress
+/// tables, and so of every job — daemon, sweep or CLI — that leaves it
+/// unset.
 pub const REFERENCE_CURRENT_DENSITY: f64 = 1e10;
 
 /// The spec schema version this daemon understands. A document may pin it
@@ -481,18 +482,7 @@ impl JobBody {
                 Ok(JobBody::Characterize(mc_params(doc)?))
             }
             "analyze" => {
-                const ANALYZE_KEYS: [&str; 17] = [
-                    "schema",
-                    "kind",
-                    "array",
-                    "pattern",
-                    "criterion",
-                    "trials",
-                    "seed",
-                    "threads",
-                    "target_ci",
-                    "current_density",
-                    "variation",
+                const ANALYZE_KEYS: [&str; 6] = [
                     "grid_trials",
                     "benchmark",
                     "netlist",
@@ -500,7 +490,7 @@ impl JobBody {
                     "screening",
                     "solver",
                 ];
-                reject_unknown_keys(doc, &ANALYZE_KEYS)?;
+                reject_unknown_keys(doc, &[&MC_KEYS[..], &ANALYZE_KEYS].concat())?;
                 let mc = mc_params(doc)?;
                 let deck = match (get_str(doc, "benchmark")?, get_str(doc, "netlist")?) {
                     (Some(_), Some(_)) => {
@@ -568,9 +558,7 @@ impl JobBody {
                 let threads = get_usize(doc, "threads", 1, 1, MAX_THREADS)?;
                 let use_cache = match doc.get("use_cache") {
                     None => true,
-                    Some(v) => v.as_bool().ok_or_else(|| {
-                        SpecError::field("use_cache", "`use_cache` must be a boolean")
-                    })?,
+                    Some(v) => boolean(v, "use_cache")?,
                 };
                 let solver = get_solver(doc, &FEA_SOLVER)?;
                 let (ordering, kernels) = (solver.ordering, solver.kernels);
@@ -703,17 +691,7 @@ fn resolve_mc(mc: &McParams) -> Result<ResolvedMc, SpecError> {
             ))
         }
     };
-    let criterion = match mc.criterion.as_str() {
-        "wl" => FailureCriterion::WeakestLink,
-        "r2x" => FailureCriterion::ResistanceRatio(2.0),
-        "rinf" => FailureCriterion::OpenCircuit,
-        other => {
-            return Err(SpecError::field(
-                "criterion",
-                format!("unknown criterion `{other}` (expected wl, r2x or rinf)"),
-            ))
-        }
-    };
+    let criterion = criterion_of(&mc.criterion)?;
     let mut runtime = RuntimeConfig::threaded(mc.threads);
     if let Some(hw) = mc.target_ci {
         runtime = runtime.with_early_stop(EarlyStop::to_half_width(hw));
@@ -730,6 +708,18 @@ fn resolve_mc(mc: &McParams) -> Result<ResolvedMc, SpecError> {
         current_density: mc.current_density.unwrap_or(REFERENCE_CURRENT_DENSITY),
         variation: mc.variation,
     })
+}
+
+fn criterion_of(criterion: &str) -> Result<FailureCriterion, SpecError> {
+    match criterion {
+        "wl" => Ok(FailureCriterion::WeakestLink),
+        "r2x" => Ok(FailureCriterion::ResistanceRatio(2.0)),
+        "rinf" => Ok(FailureCriterion::OpenCircuit),
+        other => Err(SpecError::field(
+            "criterion",
+            format!("unknown criterion `{other}` (expected wl, r2x or rinf)"),
+        )),
+    }
 }
 
 fn geometry_of(array: &str) -> Result<ViaArrayGeometry, SpecError> {
@@ -798,12 +788,7 @@ fn mc_params(doc: &Json) -> Result<McParams, SpecError> {
         pattern: get_pattern_label(doc)?,
         criterion: {
             let c = get_str(doc, "criterion")?.unwrap_or("rinf");
-            if !matches!(c, "wl" | "r2x" | "rinf") {
-                return Err(SpecError::field(
-                    "criterion",
-                    format!("unknown criterion `{c}` (expected wl, r2x or rinf)"),
-                ));
-            }
+            criterion_of(c)?;
             c.to_owned()
         },
         trials: get_usize(doc, "trials", 2000, 1, MAX_TRIALS)?,
@@ -858,12 +843,7 @@ fn get_variation(doc: &Json) -> Result<Option<VariationSpec>, SpecError> {
             }
             "linewidth_sigma" => variation.linewidth_sigma = variation_magnitude(key, value, 0.5)?,
             "variance_analysis" => {
-                variation.variance_analysis = value.as_bool().ok_or_else(|| {
-                    SpecError::field(
-                        "variation.variance_analysis",
-                        "`variation.variance_analysis` must be a boolean",
-                    )
-                })?
+                variation.variance_analysis = boolean(value, "variation.variance_analysis")?
             }
             other => {
                 return Err(SpecError::field(
@@ -896,23 +876,13 @@ fn variation_magnitude(key: &str, value: &Json, max: f64) -> Result<f64, SpecErr
 
 fn get_array_label(doc: &Json) -> Result<String, SpecError> {
     let a = get_str(doc, "array")?.unwrap_or("4x4");
-    if !matches!(a, "1x1" | "4x4" | "8x8") {
-        return Err(SpecError::field(
-            "array",
-            format!("unknown array `{a}` (expected 1x1, 4x4 or 8x8)"),
-        ));
-    }
+    geometry_of(a)?;
     Ok(a.to_owned())
 }
 
 fn get_pattern_label(doc: &Json) -> Result<String, SpecError> {
     let p = get_str(doc, "pattern")?.unwrap_or("plus");
-    if !matches!(p, "plus" | "tee" | "ell") {
-        return Err(SpecError::field(
-            "pattern",
-            format!("unknown pattern `{p}` (expected plus, tee or ell)"),
-        ));
-    }
+    pattern_of(p)?;
     Ok(p.to_owned())
 }
 
@@ -960,9 +930,7 @@ fn get_solver(doc: &Json, profile: &SolverProfile) -> Result<SolverSpec, SpecErr
         match key.as_str() {
             "ordering" => solver.ordering = parse_ordering(value)?,
             "supernodal" if profile.supernodal => {
-                solver.supernodal = value.as_bool().ok_or_else(|| {
-                    SpecError::field("solver.supernodal", "`solver.supernodal` must be a boolean")
-                })?
+                solver.supernodal = boolean(value, "solver.supernodal")?
             }
             "kernels" => solver.kernels = parse_kernels(value)?,
             "method" if profile.method => solver.method = parse_method(value)?,
@@ -1068,6 +1036,12 @@ fn parse_kernels(value: &Json) -> Result<KernelBackend, SpecError> {
             format!("unknown kernel backend `{s}` (expected auto, scalar or blocked)"),
         )
     })
+}
+
+fn boolean(value: &Json, field: &str) -> Result<bool, SpecError> {
+    value
+        .as_bool()
+        .ok_or_else(|| SpecError::field(field, format!("`{field}` must be a boolean")))
 }
 
 fn get_str<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a str>, SpecError> {

@@ -336,30 +336,57 @@ impl ViaArrayMc {
     /// Runs the variation-enabled characterization twice with the same seed
     /// — once as configured, once with the correlated fields frozen — and
     /// returns the full result next to the random-walk variance
-    /// decomposition of the open-circuit `ln TTF`.
-    ///
-    /// Void draws come from their own sub-stream, so the two runs share
-    /// critical-stress samples trial for trial and the difference isolates
-    /// the field contribution. With early termination the decomposition
-    /// uses the common committed prefix.
+    /// decomposition of the open-circuit `ln TTF` (see
+    /// [`ViaArrayMc::variance_split`]).
     ///
     /// # Panics
     ///
-    /// Panics if no variation is configured or fewer than two trials
-    /// commit.
+    /// Panics if no variation is configured.
     pub fn characterize_with_variance(
         &self,
         trials: usize,
         seed: u64,
         runtime: &RuntimeConfig,
     ) -> (CharacterizationResult, VarianceDecomposition) {
+        let varied = self.characterize_with(trials, seed, runtime);
+        let decomposition = self
+            .variance_split(&varied, trials, seed, runtime, None)
+            .expect("a run without a cancel token is never cancelled");
+        (varied, decomposition)
+    }
+
+    /// Decomposes the open-circuit `ln TTF` variance of `varied` — this
+    /// model's run of `trials` trials at `seed` — by replaying the run with
+    /// the correlated fields frozen. Void draws come from their own
+    /// sub-stream, so the two runs share critical-stress samples trial for
+    /// trial and the difference isolates the field contribution. With
+    /// early termination the decomposition uses the common committed
+    /// prefix (all zero below two samples). `None` when `cancel` stops the
+    /// frozen run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no variation is configured.
+    pub fn variance_split(
+        &self,
+        varied: &CharacterizationResult,
+        trials: usize,
+        seed: u64,
+        runtime: &RuntimeConfig,
+        cancel: Option<&CancelToken>,
+    ) -> Option<VarianceDecomposition> {
         let var = self
             .variation
             .expect("variance analysis requires a configured variation");
-        let varied = self.characterize_with(trials, seed, runtime);
         let mut frozen_mc = self.clone();
         frozen_mc.variation = Some(var.frozen_fields());
-        let frozen = frozen_mc.characterize_with(trials, seed, runtime);
+        let session = ViaSession {
+            cancel,
+            ..ViaSession::default()
+        };
+        let frozen = frozen_mc
+            .characterize_session(trials, seed, runtime, session)
+            .filter(|r| !r.report().cancelled)?;
         let ln = |xs: Vec<f64>| -> Vec<f64> {
             xs.into_iter()
                 .map(|x| x.max(f64::MIN_POSITIVE).ln())
@@ -368,8 +395,17 @@ impl ViaArrayMc {
         let lv = ln(varied.ttf_samples(FailureCriterion::OpenCircuit));
         let lf = ln(frozen.ttf_samples(FailureCriterion::OpenCircuit));
         let common = lv.len().min(lf.len());
-        let decomposition = VarianceDecomposition::from_ln_samples(&lv[..common], &lf[..common]);
-        (varied, decomposition)
+        if common < 2 {
+            return Some(VarianceDecomposition {
+                total: 0.0,
+                void: 0.0,
+                environment: 0.0,
+            });
+        }
+        Some(VarianceDecomposition::from_ln_samples(
+            &lv[..common],
+            &lf[..common],
+        ))
     }
 
     /// Runs `trials` trials with a deterministic seed and collects the
