@@ -108,14 +108,11 @@ COMMANDS:
                     [--max-netlist-lines <n>] (default 400000; raise for
                                                chip-scale inline decks)
                     [--max-connections <n>] (default 256)
-                    [--io threads|poll] (default poll: readiness event loop
-                                         with keep-alive + admission control;
-                                         threads = legacy 1 thread/connection)
-                    [--dispatchers <n>] (default 2; poll-backend handler
-                                         threads, thread 0 interactive-only)
+                    [--dispatchers <n>] (default 2; route-handler threads,
+                                         thread 0 interactive-only)
                     [--max-in-flight-per-client <n>] (default 64; 0 = off)
                     [--debug-panic-route] (CI only: POST /debug/panic panics
-                                           the connection thread)
+                                           a dispatcher's handler)
     help          print this message
 
 Every command takes --trace: span timers are collected across all layers
@@ -329,7 +326,7 @@ const SERVE: &[Knob] = &[
     option("--addr"), option("--workers"), option("--queue-depth"),
     option("--checkpoint-every"), option("--state-dir"), option("--cache-dir"),
     option("--max-body-bytes"), option("--max-netlist-lines"), option("--max-connections"),
-    option("--io"), option("--dispatchers"), option("--max-in-flight-per-client"),
+    option("--dispatchers"), option("--max-in-flight-per-client"),
     switch("--debug-panic-route", "", true),
 ];
 
@@ -877,12 +874,6 @@ fn serve_config(flags: &Flags<'_>) -> Result<ServeConfig, CliError> {
         max_connections: flags.count("--max-connections", defaults.max_connections)?,
         request_deadline: defaults.request_deadline,
         debug_panic_route: flags.has("--debug-panic-route"),
-        io: match flags.get("--io") {
-            None => defaults.io,
-            Some(value) => value
-                .parse()
-                .map_err(|e: String| CliError(format!("--io: {e}")))?,
-        },
         dispatchers: flags.count("--dispatchers", defaults.dispatchers)?,
         max_in_flight_per_client: flags.parsed(
             "--max-in-flight-per-client",
@@ -1039,7 +1030,7 @@ mod tests {
             "--addr 127.0.0.1:0 --workers 3 --queue-depth 9 --checkpoint-every 5 \
              --state-dir /tmp/emgrid-jobs --cache-dir /tmp/emgrid-cache --max-body-bytes 4096 \
              --max-netlist-lines 3000000 --max-connections 17 --debug-panic-route \
-             --io threads --dispatchers 3 --max-in-flight-per-client 8",
+             --dispatchers 3 --max-in-flight-per-client 8",
         )
         .unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:0");
@@ -1056,7 +1047,6 @@ mod tests {
         assert_eq!(cfg.max_netlist_lines, 3_000_000);
         assert_eq!(cfg.max_connections, 17);
         assert!(cfg.debug_panic_route);
-        assert_eq!(cfg.io, emgrid_serve::IoBackend::Threads);
         assert_eq!(cfg.dispatchers, 3);
         assert_eq!(cfg.max_in_flight_per_client, 8);
 
@@ -1065,14 +1055,6 @@ mod tests {
         assert_eq!(defaults.max_netlist_lines, 400_000);
         assert!(defaults.cache_dir.is_none());
         assert!(!defaults.debug_panic_route);
-        // On Unix the readiness event loop is the default backend.
-        #[cfg(unix)]
-        assert_eq!(defaults.io, emgrid_serve::IoBackend::Poll);
-        assert_eq!(
-            serve("--io poll").unwrap().io,
-            emgrid_serve::IoBackend::Poll
-        );
-        assert!(serve("--io epoll").is_err());
         assert!(serve("--workers 0").is_err());
         assert!(serve("--queue-depth 0").is_err());
         assert!(serve("--max-connections 0").is_err());

@@ -689,22 +689,34 @@ mod tests {
 
     #[test]
     fn work_is_actually_distributed() {
+        // Trials 0 and 1 rendezvous: each waits (bounded) until both have
+        // started. A worker blocked in trial 0 cannot claim trial 1, so a
+        // second worker must run it — the spread holds by construction, not
+        // because the scheduler happened to start a sibling before one
+        // worker drained the whole counter.
+        const RENDEZVOUS: usize = 2;
+        let arrived = std::sync::Mutex::new(0usize);
+        let all_arrived = std::sync::Condvar::new();
         let (_, report) = run_trials_infallible(
             400,
             &RuntimeConfig::threaded(4),
-            |t| lognormal_trial(1, t),
+            |t| {
+                if t < RENDEZVOUS {
+                    let mut count = arrived.lock().unwrap();
+                    *count += 1;
+                    all_arrived.notify_all();
+                    let _ = all_arrived
+                        .wait_timeout_while(count, Duration::from_secs(30), |n| *n < RENDEZVOUS)
+                        .unwrap();
+                }
+                lognormal_trial(1, t)
+            },
             |x| x.ln(),
         );
         assert_eq!(report.trials_per_thread.len(), 4);
         assert_eq!(report.trials_per_thread.iter().sum::<usize>(), 400);
-        // On a single hardware thread one worker may legitimately drain the
-        // whole counter before its siblings are ever scheduled, so only
-        // assert a spread where real parallelism exists.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 2 {
-            let active = report.trials_per_thread.iter().filter(|&&c| c > 0).count();
-            assert!(active >= 2, "only {active} workers ran trials");
-        }
+        let active = report.trials_per_thread.iter().filter(|&&c| c > 0).count();
+        assert!(active >= 2, "only {active} workers ran trials");
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! `Content-Length` bodies bounded by the server's configured maximum,
 //! and response serialization.
 //!
-//! Parsing is incremental: a [`RequestBuffer`] accumulates bytes as they
-//! arrive (from a blocking reader or the nonblocking event loop alike) and
-//! [`RequestBuffer::try_parse`] peels complete requests off the front,
+//! Parsing is incremental: a [`RequestBuffer`] accumulates bytes as the
+//! event loop reads them and [`RequestBuffer::try_parse`] peels complete requests off the front,
 //! preserving any leftover bytes for the next request on the same
 //! connection — the foundation of HTTP/1.1 keep-alive and pipelining.
 //! The header-terminator scan resumes where the previous chunk left off,
@@ -20,9 +19,6 @@
 //! open when the client asked for keep-alive.
 
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::time::Instant;
 
 use crate::json::Json;
 
@@ -74,14 +70,6 @@ pub enum HttpError {
         /// The configured cap.
         limit: usize,
     },
-    /// The client did not deliver the full request before the deadline.
-    Timeout,
-    /// The client closed the connection cleanly between requests (no
-    /// buffered bytes) — the normal end of a keep-alive connection, not a
-    /// protocol error.
-    Closed,
-    /// The socket failed mid-read.
-    Io(io::Error),
 }
 
 impl fmt::Display for HttpError {
@@ -91,16 +79,7 @@ impl fmt::Display for HttpError {
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body too large: {declared} bytes (limit {limit})")
             }
-            HttpError::Timeout => f.write_str("request read deadline exceeded"),
-            HttpError::Closed => f.write_str("connection closed between requests"),
-            HttpError::Io(e) => write!(f, "io error: {e}"),
         }
-    }
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
     }
 }
 
@@ -249,87 +228,6 @@ impl RequestBuffer {
     }
 }
 
-/// One socket read bounded by the request's overall deadline. A per-read
-/// timeout alone is not enough: a client trickling one byte per interval
-/// would reset it forever (slow-loris), so the remaining wall-clock budget
-/// is re-applied before every read.
-fn bounded_read(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> Result<usize, HttpError> {
-    let now = Instant::now();
-    if now >= deadline {
-        return Err(HttpError::Timeout);
-    }
-    let _ = stream.set_read_timeout(Some(deadline - now));
-    match stream.read(buf) {
-        Ok(n) => Ok(n),
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            Err(HttpError::Timeout)
-        }
-        Err(e) => Err(HttpError::Io(e)),
-    }
-}
-
-/// Reads one request from the stream into `buffer`; the whole request
-/// (headers and body) must arrive before `deadline`. Bytes beyond the
-/// request stay in `buffer` for the next call — pipelined requests are
-/// preserved, not truncated. This is the blocking (thread-per-connection)
-/// reader; the event loop drives [`RequestBuffer`] directly.
-///
-/// # Errors
-///
-/// [`HttpError::BadRequest`] on malformed framing, [`HttpError::BodyTooLarge`]
-/// when `Content-Length` exceeds `max_body`, [`HttpError::Timeout`] when the
-/// deadline passes mid-request, [`HttpError::Closed`] when the client hangs
-/// up cleanly between requests, [`HttpError::Io`] on socket failures.
-pub fn read_request_buffered(
-    stream: &mut TcpStream,
-    buffer: &mut RequestBuffer,
-    max_body: usize,
-    deadline: Instant,
-) -> Result<Request, HttpError> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(request) = buffer.try_parse(max_body)? {
-            return Ok(request);
-        }
-        let n = bounded_read(stream, &mut chunk, deadline)?;
-        if n == 0 {
-            return if buffer.is_empty() {
-                Err(HttpError::Closed)
-            } else {
-                Err(HttpError::BadRequest(
-                    "connection closed mid-request".into(),
-                ))
-            };
-        }
-        buffer.extend(&chunk[..n]);
-    }
-}
-
-/// Reads one request with a fresh buffer (any pipelined leftover is
-/// discarded). Kept for single-shot callers and tests; connection loops
-/// use [`read_request_buffered`] so leftover bytes survive.
-///
-/// # Errors
-///
-/// As [`read_request_buffered`].
-pub fn read_request(
-    stream: &mut TcpStream,
-    max_body: usize,
-    deadline: Instant,
-) -> Result<Request, HttpError> {
-    let mut buffer = RequestBuffer::new();
-    read_request_buffered(stream, &mut buffer, max_body, deadline)
-}
-
 /// An HTTP response ready to serialize.
 #[derive(Debug)]
 pub struct Response {
@@ -400,17 +298,6 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serializes the response to the stream, honoring [`Response::close`]
-    /// in the `Connection` header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
-        stream.write_all(&self.to_bytes())?;
-        stream.flush()
-    }
 }
 
 fn reason_phrase(status: u16) -> &'static str {
@@ -431,35 +318,27 @@ fn reason_phrase(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use proptest::prelude::*;
 
-    /// Runs `read_request` against raw bytes pushed through a real socket
-    /// pair, mirroring production conditions (chunked arrival included).
-    fn read_from_bytes(bytes: &[u8], max_body: usize) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let bytes = bytes.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // Two writes exercise the header/body boundary handling.
-            let mid = bytes.len() / 2;
-            s.write_all(&bytes[..mid]).unwrap();
-            s.flush().unwrap();
-            s.write_all(&bytes[mid..]).unwrap();
-            s.flush().unwrap();
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        let out = read_request(&mut conn, max_body, deadline);
-        writer.join().unwrap();
-        out
+    /// Feeds `bytes` in two halves, as two socket reads would deliver them
+    /// (the split exercises the header/body boundary handling), and
+    /// returns the first outcome that is not "need more bytes".
+    fn parse_split(bytes: &[u8], max_body: usize) -> Result<Option<Request>, HttpError> {
+        let mut buffer = RequestBuffer::new();
+        let mid = bytes.len() / 2;
+        buffer.extend(&bytes[..mid]);
+        if let Some(request) = buffer.try_parse(max_body)? {
+            return Ok(Some(request));
+        }
+        buffer.extend(&bytes[mid..]);
+        buffer.try_parse(max_body)
     }
 
     #[test]
     fn parses_a_post_with_body() {
         let raw =
             b"POST /v1/jobs?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 9\r\n\r\n{\"a\":1}\r\n";
-        let req = read_from_bytes(raw, 1024).unwrap();
+        let req = parse_split(raw, 1024).unwrap().expect("complete request");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path(), "/v1/jobs");
         assert_eq!(req.header("HOST"), Some("h"));
@@ -470,7 +349,7 @@ mod tests {
     #[test]
     fn enforces_the_body_limit() {
         let raw = b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n";
-        match read_from_bytes(raw, 10) {
+        match parse_split(raw, 10) {
             Err(HttpError::BodyTooLarge { declared, limit }) => {
                 assert_eq!((declared, limit), (100, 10));
             }
@@ -480,18 +359,18 @@ mod tests {
 
     #[test]
     fn rejects_malformed_framing() {
-        assert!(matches!(
-            read_from_bytes(b"NOT-HTTP\r\n\r\n", 1024),
-            Err(HttpError::BadRequest(_))
-        ));
-        assert!(matches!(
-            read_from_bytes(b"GET / SPDY/3\r\n\r\n", 1024),
-            Err(HttpError::BadRequest(_))
-        ));
-        assert!(matches!(
-            read_from_bytes(b"GET / HTTP/1.1\r\nbroken header\r\n\r\n", 1024),
-            Err(HttpError::BadRequest(_))
-        ));
+        for raw in [
+            &b"NOT-HTTP\r\n\r\n"[..],
+            b"GET / SPDY/3\r\n\r\n",
+            b"GET / HTTP/1.1\r\nbroken header\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        ] {
+            assert!(
+                matches!(parse_split(raw, 1024), Err(HttpError::BadRequest(_))),
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
     }
 
     #[test]
@@ -503,7 +382,7 @@ mod tests {
             (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", true),
         ];
         for (raw, expect) in cases {
-            let req = read_from_bytes(raw, 1024).unwrap();
+            let req = parse_split(raw, 1024).unwrap().expect("complete request");
             assert_eq!(req.keep_alive, *expect, "{:?}", std::str::from_utf8(raw));
         }
     }
@@ -577,41 +456,10 @@ mod tests {
     }
 
     #[test]
-    fn a_stalled_client_hits_the_overall_deadline() {
-        use std::time::Duration;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // A partial request line, then silence with the socket held
-            // open — the shape of a slow-loris connection.
-            s.write_all(b"GET / HTTP/1.1\r\nHost: h").unwrap();
-            s.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(1500));
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let deadline = Instant::now() + Duration::from_millis(250);
-        let out = read_request(&mut conn, 1024, deadline);
-        assert!(matches!(out, Err(HttpError::Timeout)), "{out:?}");
-        writer.join().unwrap();
-    }
-
-    #[test]
     fn response_serializes_with_framing() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            let mut text = String::new();
-            s.read_to_string(&mut text).unwrap();
-            text
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        Response::json(200, &Json::Obj(vec![("ok".into(), Json::Bool(true))]))
-            .write_to(&mut conn)
-            .unwrap();
-        drop(conn);
-        let text = reader.join().unwrap();
+        let bytes =
+            Response::json(200, &Json::Obj(vec![("ok".into(), Json::Bool(true))])).to_bytes();
+        let text = std::str::from_utf8(&bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"), "{text}");
         assert!(text.contains("Connection: close"), "{text}");
@@ -625,5 +473,215 @@ mod tests {
         let bytes = response.to_bytes();
         let text = std::str::from_utf8(&bytes).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+
+    /// What a parsed request carries, in comparable form.
+    type Parsed = (String, String, Vec<(String, String)>, Vec<u8>, bool);
+
+    fn parsed(request: Request) -> Parsed {
+        (
+            request.method,
+            request.target,
+            request.headers,
+            request.body,
+            request.keep_alive,
+        )
+    }
+
+    fn pick<'a>(rng: &mut TestRng, items: &[&'a str]) -> &'a str {
+        items[rng.next_below(items.len() as u64) as usize]
+    }
+
+    fn token(rng: &mut TestRng, alphabet: &[u8], max_len: u64) -> String {
+        let len = 1 + rng.next_below(max_len);
+        (0..len)
+            .map(|_| alphabet[rng.next_below(alphabet.len() as u64) as usize] as char)
+            .collect()
+    }
+
+    /// A pipelined stream of 1–5 well-formed requests (varied methods,
+    /// versions, `Connection` intents, headers and binary bodies) and the
+    /// parse each one must yield.
+    fn pipelined_stream() -> impl Strategy<Value = (Vec<u8>, Vec<Parsed>)> {
+        const NAME: &[u8] = b"abcdefghijklmnopqrstuvwxyz-";
+        const VALUE: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-_.:;/ ";
+        const PATH: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789/?=&";
+        FnStrategy(|rng: &mut TestRng| {
+            let mut wire = Vec::new();
+            let mut expected = Vec::new();
+            for _ in 0..1 + rng.next_below(5) {
+                let method = pick(rng, &["GET", "POST", "DELETE", "put"]);
+                let target = format!("/{}", token(rng, PATH, 24));
+                let version = pick(rng, &["HTTP/1.1", "HTTP/1.0"]);
+                let mut headers = Vec::new();
+                for _ in 0..rng.next_below(4) {
+                    let value = token(rng, VALUE, 16).trim().to_owned();
+                    headers.push((format!("x-{}", token(rng, NAME, 8)), value));
+                }
+                let connection = pick(rng, &["", "close", "keep-alive", "Keep-Alive"]);
+                if !connection.is_empty() {
+                    headers.push(("connection".to_owned(), connection.to_owned()));
+                }
+                let body: Vec<u8> = (0..rng.next_below(3) * rng.next_below(120))
+                    .map(|_| rng.next_below(256) as u8)
+                    .collect();
+                if !body.is_empty() || rng.next_below(2) == 0 {
+                    headers.push(("content-length".to_owned(), body.len().to_string()));
+                }
+                wire.extend_from_slice(format!("{method} {target} {version}\r\n").as_bytes());
+                for (name, value) in &headers {
+                    wire.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+                }
+                wire.extend_from_slice(b"\r\n");
+                wire.extend_from_slice(&body);
+                let keep_alive = match connection.to_ascii_lowercase().as_str() {
+                    "close" => false,
+                    "keep-alive" => true,
+                    _ => version == "HTTP/1.1",
+                };
+                expected.push((
+                    method.to_ascii_uppercase(),
+                    target,
+                    headers,
+                    body,
+                    keep_alive,
+                ));
+            }
+            (wire, expected)
+        })
+    }
+
+    /// Cut points splitting `len` bytes into arbitrary chunks (single
+    /// bytes through whole-stream reads).
+    fn chunk_ends(rng: &mut TestRng, len: usize) -> Vec<usize> {
+        let mut ends = Vec::new();
+        let mut at = 0;
+        while at < len {
+            let step = match rng.next_below(3) {
+                0 => 1,
+                1 => 1 + rng.next_below(16) as usize,
+                _ => 1 + rng.next_below(len as u64) as usize,
+            };
+            at = (at + step).min(len);
+            ends.push(at);
+        }
+        ends
+    }
+
+    /// Extends `buffer` chunk by chunk, draining every complete request
+    /// after each chunk, as the event loop does after each read.
+    fn parse_chunked(
+        bytes: &[u8],
+        ends: &[usize],
+        max_body: usize,
+    ) -> (Vec<Request>, Option<HttpError>) {
+        let mut buffer = RequestBuffer::new();
+        let mut requests = Vec::new();
+        let mut start = 0;
+        for &end in ends {
+            buffer.extend(&bytes[start..end]);
+            start = end;
+            loop {
+                match buffer.try_parse(max_body) {
+                    Ok(Some(request)) => requests.push(request),
+                    Ok(None) => break,
+                    Err(e) => return (requests, Some(e)),
+                }
+            }
+        }
+        (requests, None)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, and valid streams with random byte flips,
+        /// insertions and deletions, only ever parse or error: no input
+        /// panics the parser, and no accepted body exceeds the cap.
+        #[test]
+        fn arbitrary_and_mutated_bytes_never_panic(
+            noise in collection::vec(0u16..256, 0..600),
+            (stream, _) in pipelined_stream(),
+            seed in 0u64..u64::MAX,
+            max_body in 0usize..200,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let mut mutated = stream;
+            for _ in 0..1 + rng.next_below(8) {
+                let at = rng.next_below(mutated.len() as u64 + 1) as usize;
+                let byte = rng.next_below(256) as u8;
+                match rng.next_below(3) {
+                    0 if at < mutated.len() => mutated[at] = byte,
+                    1 if at < mutated.len() => {
+                        mutated.remove(at);
+                    }
+                    _ => mutated.insert(at, byte),
+                }
+            }
+            let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+            for bytes in [noise, mutated] {
+                let ends = chunk_ends(&mut rng, bytes.len());
+                let (requests, _) = parse_chunked(&bytes, &ends, max_body);
+                for request in &requests {
+                    prop_assert!(request.body.len() <= max_body);
+                }
+            }
+        }
+
+        /// A head that never terminates is rejected as soon as it passes
+        /// `MAX_HEAD_BYTES`, however it trickles in: the buffer never grows
+        /// past the cap plus one read while `try_parse` says "need more".
+        #[test]
+        fn unterminated_heads_error_past_the_cap(seed in 0u64..u64::MAX) {
+            const LINE: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789 :-";
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let mut head = b"GET / HTTP/1.1\r\n".to_vec();
+            while head.len() <= MAX_HEAD_BYTES + 4096 {
+                // Lines are nonempty, so `\r\n\r\n` can never appear.
+                head.extend(token(&mut rng, LINE, 80).bytes());
+                head.extend_from_slice(b"\r\n");
+            }
+            prop_assert!(find_terminator(&head, 0).is_none());
+            let mut buffer = RequestBuffer::new();
+            let mut start = 0;
+            let mut rejected = false;
+            for end in chunk_ends(&mut rng, head.len()) {
+                buffer.extend(&head[start..end]);
+                start = end;
+                match buffer.try_parse(1024) {
+                    Ok(None) => prop_assert!(buffer.len() <= MAX_HEAD_BYTES),
+                    Ok(Some(request)) => {
+                        return Err(TestCaseError(format!("parsed {request:?}")));
+                    }
+                    Err(HttpError::BadRequest(m)) => {
+                        prop_assert!(m.contains("headers too large"), "{m}");
+                        prop_assert!(buffer.len() > MAX_HEAD_BYTES);
+                        rejected = true;
+                        break;
+                    }
+                    Err(e) => return Err(TestCaseError(format!("unexpected {e}"))),
+                }
+            }
+            prop_assert!(rejected, "{} unterminated bytes were buffered", head.len());
+        }
+
+        /// Chunking is invisible: a valid pipelined stream delivered in
+        /// arbitrary splits yields exactly the requests one-shot delivery
+        /// does, in order, with nothing left over.
+        #[test]
+        fn chunked_delivery_matches_one_shot_delivery(
+            (stream, expected) in pipelined_stream(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let (one_shot, error) = parse_chunked(&stream, &[stream.len()], 1024);
+            prop_assert!(error.is_none(), "{error:?}");
+            let one_shot: Vec<Parsed> = one_shot.into_iter().map(parsed).collect();
+            prop_assert_eq!(&one_shot, &expected);
+            let (chunked, error) = parse_chunked(&stream, &chunk_ends(&mut rng, stream.len()), 1024);
+            prop_assert!(error.is_none(), "{error:?}");
+            let chunked: Vec<Parsed> = chunked.into_iter().map(parsed).collect();
+            prop_assert_eq!(&chunked, &one_shot);
+        }
     }
 }

@@ -187,7 +187,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 /// Maximum container nesting. The parser recurses once per level, and the
-/// daemon parses request bodies on connection threads with default-sized
+/// daemon parses request bodies on dispatcher threads with default-sized
 /// stacks; without a cap, a small body of nested `[` would overflow the
 /// stack and abort the whole process. 128 levels is far beyond any job
 /// spec while keeping worst-case recursion trivially shallow.

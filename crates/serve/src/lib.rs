@@ -5,7 +5,8 @@
 //! power-grid Monte Carlo, FEA stress characterization) into a long-running
 //! service with a small JSON-over-HTTP API, built entirely on `std`:
 //!
-//! * [`server`] — hand-rolled HTTP/1.1 listener, routing, and lifecycle;
+//! * [`server`] — routing and lifecycle over a `poll(2)` event loop that
+//!   owns every connection (unix-only);
 //! * [`spec`] — strict job-spec parsing with a canonical persisted form;
 //! * [`runner`] — job execution against the deterministic MC sessions;
 //! * [`store`] — crash-safe per-job state directories (atomic renames);
@@ -32,7 +33,7 @@ pub mod server;
 pub mod spec;
 pub mod store;
 
-pub use server::{IoBackend, JobsApi, JobsApiError, RouteHook, ServeConfig, Server};
+pub use server::{JobsApi, JobsApiError, RouteHook, ServeConfig, Server};
 pub use spec::{
     DeckSource, JobBody, JobSpec, McParams, ResolvedAnalyze, ResolvedFea, ResolvedJob, ResolvedMc,
     SolverSpec, SpecError, VariationSpec, SCHEMA_VERSION,

@@ -379,11 +379,12 @@ fn scrape_counter(metrics: &str, name: &str) -> u64 {
 
 #[test]
 fn panicking_connections_do_not_leak_slots() {
-    // Regression for the connection-slot leak: handle_connection used to
-    // decrement `active_connections` only on the normal return path, so
-    // 256 panics bricked the daemon into shedding every future request.
-    // Induce more panics than the connection cap and prove the daemon is
-    // still fully alive afterwards.
+    // Regression for the connection-slot leak: a panicking route handler
+    // must release its connection slot, or 256 panics would brick the
+    // daemon into shedding every future request. The dispatcher catches
+    // each panic and the event loop closes that connection. Induce more
+    // panics than the connection cap and prove the daemon is still fully
+    // alive afterwards.
     silence_induced_panics();
     let mut cfg = config("panic-flood");
     cfg.debug_panic_route = true;
