@@ -1,8 +1,8 @@
-//! Fill-in and wall-time ablation of the direct solver's orderings and
-//! numeric engines: natural vs RCM vs AMD vs nested dissection (scalar
-//! up-looking) vs AMD + supernodes, on the two matrix families the
-//! workspace actually factors — the fig. 7 FEA stiffness matrix (paper
-//! 4x4 array) and a large synthetic power-grid Laplacian.
+//! Fill-in and wall-time ablation of the direct solver's orderings:
+//! natural vs RCM vs AMD vs nested dissection on the one (supernodal)
+//! numeric engine, on the two matrix families the workspace actually
+//! factors — the fig. 7 FEA stiffness matrix (paper 4x4 array) and a large
+//! synthetic power-grid Laplacian.
 //!
 //! Results land machine-readably in `BENCH_sparse.json`; each `factor`
 //! benchmark id embeds the factor's fill (`fill_nnz=`) so the CI smoke
@@ -57,25 +57,16 @@ fn fea_matrix(small: bool) -> CsrMatrix {
     assemble(&mesh, &BoundaryConditions::confined_stack(), -220.0).stiffness
 }
 
-fn configs() -> [(&'static str, FactorOptions); 5] {
-    let scalar = |ordering| FactorOptions {
-        ordering,
-        supernodal: false,
-        threads: 1,
-        ..FactorOptions::default()
-    };
-    [
-        ("natural", scalar(Ordering::Natural)),
-        ("rcm", scalar(Ordering::Rcm)),
-        ("amd", scalar(Ordering::Amd)),
-        ("nd", scalar(Ordering::Nd)),
-        ("amd_supernodal", FactorOptions::default()),
-    ]
-}
+const ORDERINGS: [Ordering; 4] = [
+    Ordering::Natural,
+    Ordering::Rcm,
+    Ordering::Amd,
+    Ordering::Nd,
+];
 
-/// The microkernel axis: both explicit backends on the default
-/// AMD + supernodal configuration. `auto` is excluded — it is one of
-/// these two, and benching it twice would only add noise.
+/// The microkernel axis: both explicit backends on the default AMD
+/// configuration. `auto` is excluded — it is one of these two, and
+/// benching it twice would only add noise.
 const KERNEL_AXIS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Blocked];
 
 fn bench_ordering(c: &mut Criterion) {
@@ -91,7 +82,9 @@ fn bench_ordering(c: &mut Criterion) {
     for (name, a) in &matrices {
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 37) % 19) as f64 - 9.0).collect();
-        for (label, opts) in configs() {
+        for ordering in ORDERINGS {
+            let opts = FactorOptions::default().with_ordering(ordering);
+            let label = ordering.label();
             let factored = LdlFactor::factor_with(a, &opts).expect("SPD bench matrix factors");
             group.bench_with_input(
                 BenchmarkId::new(
@@ -109,10 +102,10 @@ fn bench_ordering(c: &mut Criterion) {
                 |bench, f| bench.iter(|| black_box(f.solve(black_box(&b)))),
             );
         }
-        // The microkernel axis on the default AMD + supernodal
-        // configuration: factor, blocked multi-RHS solves and CG with each
-        // explicit backend. Backends are bit-identical by contract, so any
-        // spread between these ids is pure wall time.
+        // The microkernel axis on the default AMD configuration: factor,
+        // blocked multi-RHS solves and CG with each explicit backend.
+        // Backends are bit-identical by contract, so any spread between
+        // these ids is pure wall time.
         let many: Vec<Vec<f64>> = (0..8)
             .map(|s| {
                 (0..n)
@@ -126,7 +119,7 @@ fn bench_ordering(c: &mut Criterion) {
             let factored = LdlFactor::factor_with(a, &opts).unwrap();
             group.bench_with_input(
                 BenchmarkId::new(
-                    format!("factor/{name}/amd_supernodal/kernels={klabel}"),
+                    format!("factor/{name}/amd/kernels={klabel}"),
                     format!("fill_nnz={}", factored.l_nnz()),
                 ),
                 a,
@@ -159,7 +152,7 @@ fn bench_ordering(c: &mut Criterion) {
             );
         }
         // The blocked multi-RHS path against one-at-a-time solves, both on
-        // the default AMD + supernodal factor.
+        // the default AMD factor.
         let factored = LdlFactor::factor_with(a, &FactorOptions::default()).unwrap();
         group.bench_with_input(
             BenchmarkId::new(format!("solve_many8/{name}/blocked"), n),

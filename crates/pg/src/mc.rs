@@ -306,8 +306,9 @@ impl PowerGridMc {
     }
 
     /// Sets the sparse factorization options used for every grid
-    /// conductance solve (default: AMD ordering, supernodal numeric). The
-    /// choice changes wall time, never the failure statistics' semantics.
+    /// conductance solve (default: AMD ordering, one solve thread, `auto`
+    /// kernels). The choice changes wall time, never the failure
+    /// statistics' semantics.
     pub fn with_factor_options(mut self, factor: FactorOptions) -> Self {
         self.factor = factor;
         self

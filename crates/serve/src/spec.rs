@@ -215,8 +215,6 @@ impl VariationSpec {
 pub struct SolverSpec {
     /// Fill-reducing ordering: `natural`, `rcm`, `amd` or `nd`.
     pub ordering: Ordering,
-    /// Whether the blocked supernodal numeric engine is used.
-    pub supernodal: bool,
     /// Dense-panel microkernel backend: `auto`, `scalar` or `blocked`.
     /// Bit-identical results by contract, so this is purely a speed knob.
     pub kernels: KernelBackend,
@@ -230,7 +228,6 @@ impl Default for SolverSpec {
     fn default() -> Self {
         SolverSpec {
             ordering: Ordering::Amd,
-            supernodal: true,
             kernels: KernelBackend::Auto,
             method: Method::Auto,
         }
@@ -244,17 +241,18 @@ impl SolverSpec {
     pub fn factor_options(&self) -> FactorOptions {
         FactorOptions {
             ordering: self.ordering,
-            supernodal: self.supernodal,
             threads: 1,
             kernels: self.kernels,
-            ..FactorOptions::default()
         }
     }
 
     fn to_json(self) -> Json {
+        // `supernodal` selects nothing (there is one engine), but canonical
+        // documents carry it: rendering its only accepted value keeps their
+        // bytes, sweep ids and pinned results stable.
         let mut pairs = vec![
             ("ordering".into(), Json::s(self.ordering.label())),
-            ("supernodal".into(), Json::Bool(self.supernodal)),
+            ("supernodal".into(), Json::Bool(true)),
         ];
         // `auto` is the default and resolves at run time; materializing it
         // would pin old canonical documents to whatever backend `auto`
@@ -889,11 +887,9 @@ fn get_pattern_label(doc: &Json) -> Result<String, SpecError> {
 /// Which `solver` keys one spec kind exposes; the one shared sub-parser
 /// below serves every kind with a solver block.
 struct SolverProfile {
-    /// Whether the supernode toggle may vary per job.
-    supernodal: bool,
-    /// Whether the operating-point solve `method` (the screening pass's
-    /// engine) may be set.
-    method: bool,
+    /// Whether the analyze-only keys may be set: the operating-point solve
+    /// `method` (the screening pass's engine) and the legacy `supernodal`.
+    analyze_keys: bool,
     /// Appended to unknown-or-disallowed-key messages to say why.
     rejection_note: &'static str,
 }
@@ -901,8 +897,7 @@ struct SolverProfile {
 /// `analyze` exposes every solver knob, including the screening pass's
 /// operating-point `method`.
 const ANALYZE_SOLVER: SolverProfile = SolverProfile {
-    supernodal: true,
-    method: true,
+    analyze_keys: true,
     rejection_note: "",
 };
 
@@ -910,8 +905,7 @@ const ANALYZE_SOLVER: SolverProfile = SolverProfile {
 /// the ordering alone, so only knobs that cannot change cached fields may
 /// vary per job.
 const FEA_SOLVER: SolverProfile = SolverProfile {
-    supernodal: false,
-    method: false,
+    analyze_keys: false,
     rejection_note: " (fea accepts only `ordering` and `kernels`)",
 };
 
@@ -929,11 +923,20 @@ fn get_solver(doc: &Json, profile: &SolverProfile) -> Result<SolverSpec, SpecErr
     for (key, value) in pairs {
         match key.as_str() {
             "ordering" => solver.ordering = parse_ordering(value)?,
-            "supernodal" if profile.supernodal => {
-                solver.supernodal = boolean(value, "solver.supernodal")?
+            // `true` names the one engine and stays valid, so accepted
+            // documents keep parsing to the same bytes; `false` named the
+            // removed scalar engine.
+            "supernodal" if profile.analyze_keys => {
+                if !boolean(value, "solver.supernodal")? {
+                    return Err(SpecError::field(
+                        "solver.supernodal",
+                        "`solver.supernodal` = false is no longer supported: the scalar \
+                         factorization engine was removed (only `true` is accepted)",
+                    ));
+                }
             }
             "kernels" => solver.kernels = parse_kernels(value)?,
-            "method" if profile.method => solver.method = parse_method(value)?,
+            "method" if profile.analyze_keys => solver.method = parse_method(value)?,
             other => {
                 return Err(SpecError::field(
                     format!("solver.{other}"),
@@ -1180,16 +1183,28 @@ mod tests {
     #[test]
     fn solver_block_round_trips_and_names_bad_nested_fields() {
         let s = spec(
-            r#"{"kind":"analyze","benchmark":"pg1","solver":{"ordering":"rcm","supernodal":false}}"#,
+            r#"{"kind":"analyze","benchmark":"pg1","solver":{"ordering":"rcm","supernodal":true}}"#,
         )
         .unwrap();
         let ResolvedJob::Analyze(a) = s.resolve().unwrap() else {
             panic!("wrong kind")
         };
         assert_eq!(a.factor.ordering, Ordering::Rcm);
-        assert!(!a.factor.supernodal);
         assert_eq!(a.factor.threads, 1);
         assert_eq!(spec(&s.to_json().to_string()).unwrap(), s);
+
+        // The scalar engine `false` selected was removed: the value is
+        // rejected by field name instead of being silently ignored.
+        let e = spec(r#"{"kind":"analyze","benchmark":"pg1","solver":{"supernodal":false}}"#)
+            .unwrap_err();
+        assert_eq!(e.field.as_deref(), Some("solver.supernodal"));
+        assert!(
+            e.message
+                .contains("scalar factorization engine was removed")
+                && e.message.contains("only `true` is accepted"),
+            "{}",
+            e.message
+        );
 
         let e = spec(r#"{"kind":"analyze","benchmark":"pg1","solver":{"ordering":"best"}}"#)
             .unwrap_err();
@@ -1325,8 +1340,8 @@ mod tests {
             r#"{"kind":"fea","array":"4x4","pattern":"plus","resolution":0.25,"threads":1,"use_cache":true,"solver":{"ordering":"natural"}}"#
         );
         assert_eq!(spec(&s.to_json().to_string()).unwrap(), s);
-        // The supernode toggle is not part of the stress-cache key, so an
-        // fea spec may not set it.
+        // fea never accepted the legacy supernode toggle (it is not part of
+        // the stress-cache key); any value stays an unknown key.
         let e = spec(r#"{"kind":"fea","solver":{"supernodal":false}}"#).unwrap_err();
         assert_eq!(e.field.as_deref(), Some("solver.supernodal"));
     }

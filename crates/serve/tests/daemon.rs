@@ -323,6 +323,42 @@ fn cancelled_jobs_stay_cancelled_across_restart() {
 }
 
 #[test]
+fn removed_solver_value_is_a_400_and_a_failed_job_after_restart() {
+    // `"supernodal": false` selected the removed scalar engine. A live
+    // submission is refused by field name...
+    let false_spec = r#"{"kind":"analyze","benchmark":"pg1","solver":{"supernodal":false}}"#;
+    let state_dir = temp_dir("removed-knob");
+    let base = ServeConfig {
+        state_dir: state_dir.clone(),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(base.clone()).unwrap();
+    let (status, body) = request(server.local_addr(), "POST", "/v1/jobs", false_spec);
+    assert_eq!(status, 400, "{body}");
+    let doc = json::parse(&body).unwrap();
+    assert_eq!(
+        doc.get("field").and_then(Json::as_str),
+        Some("solver.supernodal")
+    );
+    assert!(doc.get("error").and_then(Json::as_str).is_some(), "{body}");
+    server.shutdown();
+
+    // ...and one persisted before the removal fails on restart instead of
+    // crashing the daemon or being requeued.
+    std::fs::create_dir_all(state_dir.join("1")).unwrap();
+    std::fs::write(state_dir.join("1").join("spec.json"), false_spec).unwrap();
+    let revived = Server::start(base).unwrap();
+    let addr = revived.local_addr();
+    let doc = wait_done(addr, 1);
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+    assert!(doc.to_string().contains("solver.supernodal"), "{doc:?}");
+    assert_eq!(request(addr, "GET", "/healthz", "").0, 200);
+    revived.shutdown();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
+#[test]
 fn uploaded_netlists_are_screened_and_bodies_are_bounded() {
     let mut cfg = config("ingest");
     cfg.max_body_bytes = 512;

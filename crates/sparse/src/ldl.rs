@@ -1,24 +1,20 @@
 //! Sparse LDLᵀ (Cholesky-type) factorization for SPD matrices.
 //!
-//! Two numeric engines share one entry point, [`LdlFactor::factor_with`]:
-//!
-//! * a scalar up-looking factorization in the style of Davis' `LDL` package —
-//!   a symbolic pass computes the elimination tree and column counts, then a
-//!   numeric pass computes one row of `L` at a time using the tree to find
-//!   each row's sparsity pattern; and
-//! * a blocked supernodal factorization ([`crate::supernodal`]) that groups
-//!   columns with nested patterns into dense panels and applies
-//!   cache-contiguous update kernels — the default, and the faster choice on
-//!   the mesh-structured conductance and stiffness matrices this workspace
-//!   produces.
+//! One blocked supernodal engine ([`crate::supernodal`]) sits behind the
+//! single entry point, [`LdlFactor::factor_with`]: a symbolic pass computes
+//! the elimination tree and column counts and groups columns with nested
+//! patterns into dense panels, and the numeric pass factors each panel with
+//! cache-contiguous update kernels. The factor is stored in compressed-column
+//! form (rows sorted within each column), which every triangular-solve path
+//! below reads.
 //!
 //! [`FactorOptions`] selects the fill-reducing ordering (natural, reverse
-//! Cuthill–McKee, or minimum degree via [`crate::ordering::amd`]), the numeric
-//! engine, and the worker-thread count for the triangular solves. Whatever the
-//! combination, results are deterministic: the ordering and supernode
-//! partition are pure functions of the sparsity pattern, and the parallel
-//! solve folds per-subtree contributions in a fixed order, so bits never
-//! depend on thread count.
+//! Cuthill–McKee, minimum degree via [`crate::ordering::amd`], or nested
+//! dissection), the dense-panel microkernel backend, and the worker-thread
+//! count for the triangular solves. Whatever the combination, results are
+//! deterministic: the ordering and supernode partition are pure functions of
+//! the sparsity pattern, and the parallel solve folds per-subtree
+//! contributions in a fixed order, so bits never depend on thread count.
 
 use emgrid_runtime::{obs, parallel_map_chunks};
 
@@ -71,19 +67,13 @@ impl Ordering {
 
 /// Configuration for [`LdlFactor::factor_with`].
 ///
-/// The default — AMD ordering, supernodal numeric, one thread — is the right
+/// The default — AMD ordering, one thread, `auto` kernels — is the right
 /// choice for one-shot solves of mesh-structured systems. Callers batching
-/// many solves against one factor set `threads`; callers factoring tiny
-/// systems in a hot loop (where ordering quality is irrelevant and setup cost
-/// is not) pick `Rcm` or `Natural` with `supernodal: false`.
+/// many solves against one factor set `threads`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FactorOptions {
     /// Fill-reducing ordering.
     pub ordering: Ordering,
-    /// Use the blocked supernodal numeric engine instead of the scalar
-    /// up-looking one. Both produce the same factor layout; the supernodal
-    /// engine is faster on matrices with meaningful fill.
-    pub supernodal: bool,
     /// Worker threads for the triangular solves ([`LdlFactor::solve`] uses
     /// independent elimination-tree subtrees, [`LdlFactor::solve_many`]
     /// blocks of right-hand sides). Never changes results, only wall time.
@@ -92,34 +82,26 @@ pub struct FactorOptions {
     /// blocked solves ([`crate::panel`]). Every backend produces identical
     /// bytes, so this — like `threads` — only moves wall time.
     pub kernels: KernelBackend,
-    /// Right-hand sides per panel in [`LdlFactor::solve_many`]. Panels of
-    /// this width share one forward/diagonal/backward sweep; the default
-    /// (8) matches the blocked backend's row-unroll width. Re-blocking
-    /// never changes solution bits.
-    pub rhs_panel: usize,
-    /// Cap on supernode width in the supernodal engine. Wider panels
-    /// amortize better but waste work on patterns that only almost match;
-    /// the default (48) keeps the dense diagonal block (48×48 f64 ≈ 18 KiB)
-    /// comfortably in L1/L2. Changes the supernode partition — and thus
-    /// panel shapes — but never the factor's CSC layout or values.
-    pub max_supernode_width: usize,
 }
 
-/// Default [`FactorOptions::rhs_panel`].
-pub const DEFAULT_RHS_PANEL: usize = 8;
+/// Right-hand sides per [`LdlFactor::solve_many`] panel: panels of this
+/// width share one forward/diagonal/backward sweep, and 8 matches the
+/// blocked backend's row-unroll width. Re-blocking never changes solution
+/// bits.
+const RHS_PANEL: usize = 8;
 
-/// Default [`FactorOptions::max_supernode_width`].
-pub const DEFAULT_MAX_SUPERNODE_WIDTH: usize = 48;
+/// Cap on supernode width. Wider panels amortize better but waste work on
+/// patterns that only almost match; 48 keeps the dense diagonal block
+/// (48×48 f64 ≈ 18 KiB) comfortably in L1/L2. The cap shapes the supernode
+/// partition, never the factor's CSC layout.
+const MAX_SUPERNODE_WIDTH: usize = 48;
 
 impl Default for FactorOptions {
     fn default() -> Self {
         FactorOptions {
             ordering: Ordering::Amd,
-            supernodal: true,
             threads: 1,
             kernels: KernelBackend::Auto,
-            rhs_panel: DEFAULT_RHS_PANEL,
-            max_supernode_width: DEFAULT_MAX_SUPERNODE_WIDTH,
         }
     }
 }
@@ -141,22 +123,6 @@ impl FactorOptions {
     pub fn with_kernels(mut self, kernels: KernelBackend) -> Self {
         self.kernels = kernels;
         self
-    }
-
-    /// The scalar RCM configuration the workspace used before the supernodal
-    /// engine existed: bit-identical to the historical scalar-RCM path, so
-    /// hot loops whose sample streams must not move pin themselves to it
-    /// (including pinning the reference kernel backend, although backends
-    /// are bit-identical anyway).
-    pub fn scalar_rcm() -> Self {
-        FactorOptions {
-            ordering: Ordering::Rcm,
-            supernodal: false,
-            threads: 1,
-            kernels: KernelBackend::Scalar,
-            rhs_panel: DEFAULT_RHS_PANEL,
-            max_supernode_width: DEFAULT_MAX_SUPERNODE_WIDTH,
-        }
     }
 }
 
@@ -198,7 +164,7 @@ pub struct LdlFactor {
     diag: Vec<f64>,
     /// Fill-reducing permutation applied to the matrix (new -> old).
     perm: Permutation,
-    /// Supernode column boundaries, when the supernodal engine ran.
+    /// Supernode column boundaries.
     sn_ptr: Vec<usize>,
     /// Structural subtree plan for the parallel solve (large systems only).
     plan: Option<SolvePlan>,
@@ -206,14 +172,11 @@ pub struct LdlFactor {
     threads: usize,
     /// Microkernel backend for the blocked solve sweeps.
     kernels: KernelBackend,
-    /// Right-hand sides per [`LdlFactor::solve_many`] panel.
-    rhs_panel: usize,
 }
 
 impl LdlFactor {
     /// Factors `a` under the given [`FactorOptions`]. This is the single
-    /// entry point for every ordering, numeric engine, and microkernel
-    /// backend combination.
+    /// entry point for every ordering and microkernel backend combination.
     ///
     /// # Errors
     ///
@@ -236,20 +199,6 @@ impl LdlFactor {
                 Ordering::Nd => nested_dissection(a),
             }
         };
-        Self::factor_impl(a, perm, opts)
-    }
-
-    fn factor_impl(
-        a: &CsrMatrix,
-        perm: Permutation,
-        opts: &FactorOptions,
-    ) -> Result<Self, SparseError> {
-        if perm.len() != a.rows() {
-            return Err(SparseError::DimensionMismatch {
-                expected: a.rows(),
-                found: perm.len(),
-            });
-        }
         let pa = if perm.as_slice().iter().enumerate().all(|(i, &v)| i == v) {
             a.clone()
         } else {
@@ -258,21 +207,17 @@ impl LdlFactor {
 
         let sym = {
             let _span = obs::span("symbolic");
-            supernodal::analyze(&pa, opts.supernodal, opts.max_supernode_width)
+            supernodal::analyze(&pa, MAX_SUPERNODE_WIDTH)
         };
         let n = sym.n();
         let (row_idx, values, diag) = {
             let _span = obs::span("numeric");
-            if opts.supernodal {
-                // Dispatch once to a concrete backend so the panel kernels
-                // monomorphize (and inline) instead of going through the
-                // vtable on every dense update.
-                match opts.kernels.resolve() {
-                    KernelBackend::Scalar => supernodal::factor_numeric(&pa, &sym, &panel::SCALAR)?,
-                    _ => supernodal::factor_numeric(&pa, &sym, &panel::BLOCKED)?,
-                }
-            } else {
-                Self::factor_numeric_scalar(&pa, &sym)?
+            // Dispatch once to a concrete backend so the panel kernels
+            // monomorphize (and inline) instead of going through the
+            // vtable on every dense update.
+            match opts.kernels.resolve() {
+                KernelBackend::Scalar => supernodal::factor_numeric(&pa, &sym, &panel::SCALAR)?,
+                _ => supernodal::factor_numeric(&pa, &sym, &panel::BLOCKED)?,
             }
         };
         let plan = supernodal::build_solve_plan(&sym.parent);
@@ -290,79 +235,7 @@ impl LdlFactor {
             plan,
             threads: opts.threads.max(1),
             kernels: opts.kernels,
-            rhs_panel: opts.rhs_panel.max(1),
         })
-    }
-
-    /// Scalar up-looking numeric phase: compute row k of L against columns
-    /// `< k`, using the elimination tree to enumerate each row's pattern.
-    fn factor_numeric_scalar(
-        pa: &CsrMatrix,
-        sym: &Symbolic,
-    ) -> Result<supernodal::NumericFactor, SparseError> {
-        let n = sym.n();
-        let none = usize::MAX;
-        let col_ptr = &sym.col_ptr;
-        let parent = &sym.parent;
-        let nnz = col_ptr[n];
-        let mut row_idx = vec![0u32; nnz];
-        let mut values = vec![0.0f64; nnz];
-        let mut diag = vec![0.0f64; n];
-
-        let mut y = vec![0.0f64; n];
-        let mut pattern = vec![0usize; n];
-        let mut stack = vec![0usize; n];
-        let mut next = col_ptr[..n].to_vec(); // next free slot in each column
-        let mut flag = vec![none; n];
-        for k in 0..n {
-            let mut top = n;
-            flag[k] = k;
-            let mut dk = 0.0;
-            for (i, v) in pa.row(k) {
-                match i.cmp(&k) {
-                    std::cmp::Ordering::Less => {
-                        y[i] += v;
-                        let mut len = 0usize;
-                        let mut j = i;
-                        while flag[j] != k {
-                            pattern[len] = j;
-                            len += 1;
-                            flag[j] = k;
-                            j = parent[j];
-                        }
-                        while len > 0 {
-                            len -= 1;
-                            top -= 1;
-                            stack[top] = pattern[len];
-                        }
-                    }
-                    std::cmp::Ordering::Equal => dk = v,
-                    std::cmp::Ordering::Greater => break,
-                }
-            }
-            // Sparse triangular solve over the pattern (in etree order).
-            for &i in &stack[top..n] {
-                let yi = y[i];
-                y[i] = 0.0;
-                for p in col_ptr[i]..next[i] {
-                    y[row_idx[p] as usize] -= values[p] * yi;
-                }
-                let di = diag[i];
-                let lki = yi / di;
-                dk -= lki * yi;
-                row_idx[next[i]] = k as u32;
-                values[next[i]] = lki;
-                next[i] += 1;
-            }
-            if dk <= 0.0 || !dk.is_finite() {
-                return Err(SparseError::NotPositiveDefinite {
-                    column: k,
-                    pivot: dk,
-                });
-            }
-            diag[k] = dk;
-        }
-        Ok((row_idx, values, diag))
     }
 
     /// Dimension of the factored matrix.
@@ -386,10 +259,10 @@ impl LdlFactor {
         &self.perm
     }
 
-    /// Supernode column boundaries of the permuted factor, when the
-    /// supernodal engine ran: supernode `s` spans columns
-    /// `sn[s]..sn[s + 1]`. Empty for scalar factors. The partition is a pure
-    /// function of the matrix pattern and ordering — never of thread count.
+    /// Supernode column boundaries of the permuted factor: supernode `s`
+    /// spans columns `sn[s]..sn[s + 1]`. Non-empty whenever the matrix is.
+    /// The partition is a pure function of the matrix pattern and ordering —
+    /// never of thread count.
     pub fn supernode_ptr(&self) -> &[usize] {
         &self.sn_ptr
     }
@@ -543,7 +416,7 @@ impl LdlFactor {
     }
 
     /// Solves for several right-hand sides with a blocked kernel: panels of
-    /// up to [`FactorOptions::rhs_panel`] vectors share one
+    /// up to eight vectors share one
     /// forward/diagonal/backward sweep (one pass over the factor per panel
     /// instead of one per vector), and panels run on the configured worker
     /// threads. Each solution is bit-identical to a scalar sweep of the
@@ -558,13 +431,13 @@ impl LdlFactor {
         }
         let _span = obs::span("solve");
         let blocks: Vec<Vec<Vec<f64>>> =
-            parallel_map_chunks(rhs.len(), self.rhs_panel, self.threads, |_, range| {
+            parallel_map_chunks(rhs.len(), RHS_PANEL, self.threads, |_, range| {
                 self.solve_block(&rhs[range])
             });
         blocks.into_iter().flatten().collect()
     }
 
-    /// One blocked sweep over `k <= rhs_panel` right-hand sides held in a
+    /// One blocked sweep over `k` right-hand sides held in a
     /// row-major `n x k` panel. The k columns are independent, so the row
     /// operations route through the microkernel backend, which may
     /// vectorize across them.
@@ -670,68 +543,94 @@ mod tests {
         t.to_csr()
     }
 
-    fn opts(ordering: Ordering, supernodal: bool) -> FactorOptions {
-        FactorOptions {
-            ordering,
-            supernodal,
-            ..FactorOptions::default()
-        }
+    fn opts(ordering: Ordering) -> FactorOptions {
+        FactorOptions::default().with_ordering(ordering)
     }
 
     #[test]
     fn solves_tridiagonal_exactly() {
         let a = laplacian_1d(50);
-        let f = LdlFactor::factor_with(&a, &opts(Ordering::Natural, false)).unwrap();
+        let f = LdlFactor::factor_with(&a, &opts(Ordering::Natural)).unwrap();
         let b: Vec<f64> = (0..50).map(|i| (i as f64).sin()).collect();
         let x = f.solve(&b);
         assert!(a.residual_norm(&x, &b) < 1e-10);
     }
 
     #[test]
-    fn all_orderings_and_engines_solve_the_same_system() {
+    fn all_orderings_solve_the_same_system() {
         let a = laplacian_2d(7, 9);
         let b: Vec<f64> = (0..63).map(|i| (i % 5) as f64 - 2.0).collect();
-        let reference = LdlFactor::factor_with(&a, &opts(Ordering::Natural, false))
-            .unwrap()
-            .solve(&b);
+        let reference = a.to_dense().solve(&b).unwrap();
         for ordering in [
             Ordering::Natural,
             Ordering::Rcm,
             Ordering::Amd,
             Ordering::Nd,
         ] {
-            for supernodal in [false, true] {
-                let x = LdlFactor::factor_with(&a, &opts(ordering, supernodal))
-                    .unwrap()
-                    .solve(&b);
-                for (u, v) in reference.iter().zip(&x) {
-                    assert!(
-                        (u - v).abs() < 1e-9,
-                        "{ordering:?} supernodal={supernodal}: {u} vs {v}"
-                    );
-                }
+            let x = LdlFactor::factor_with(&a, &opts(ordering))
+                .unwrap()
+                .solve(&b);
+            for (u, v) in reference.iter().zip(&x) {
+                assert!((u - v).abs() < 1e-9, "{ordering:?}: {u} vs {v}");
             }
         }
     }
 
+    /// Dense right-looking LDLᵀ of a symmetric matrix: `(L, d)` with `L`
+    /// unit lower triangular, row-major `n × n`.
+    fn dense_ldlt(m: &crate::dense::DenseMatrix) -> (Vec<f64>, Vec<f64>) {
+        let n = m.rows();
+        let mut l = vec![0.0f64; n * n];
+        let mut d = vec![0.0f64; n];
+        for j in 0..n {
+            d[j] = m[(j, j)]
+                - (0..j)
+                    .map(|k| l[j * n + k] * l[j * n + k] * d[k])
+                    .sum::<f64>();
+            l[j * n + j] = 1.0;
+            for i in j + 1..n {
+                let s: f64 = (0..j).map(|k| l[i * n + k] * l[j * n + k] * d[k]).sum();
+                l[i * n + j] = (m[(i, j)] - s) / d[j];
+            }
+        }
+        (l, d)
+    }
+
     #[test]
-    fn supernodal_factor_matches_scalar_layout_and_values() {
-        // Both engines must emit the same CSC structure; values agree to
-        // rounding (the update orders differ).
+    fn factor_matches_a_dense_ldlt_of_the_permuted_matrix() {
+        // An oracle independent of the sparse code: the dense LDLᵀ of
+        // P A Pᵀ. Every entry of the dense L above rounding must sit in the
+        // sparse pattern with the same value, and nothing else may.
         let a = laplacian_2d(12, 11);
+        let n = a.rows();
         for ordering in [Ordering::Rcm, Ordering::Amd, Ordering::Nd] {
-            let s = LdlFactor::factor_with(&a, &opts(ordering, false)).unwrap();
-            let p = LdlFactor::factor_with(&a, &opts(ordering, true)).unwrap();
-            assert_eq!(s.col_ptr, p.col_ptr);
-            assert_eq!(s.row_idx, p.row_idx);
-            for (u, v) in s.values.iter().zip(&p.values) {
-                assert!((u - v).abs() < 1e-12, "{u} vs {v}");
+            let f = LdlFactor::factor_with(&a, &opts(ordering)).unwrap();
+            let (l, d) = dense_ldlt(&a.permute_symmetric(f.permutation()).to_dense());
+            let (col_ptr, row_idx, values, diag) = f.factor_parts();
+            for j in 0..n {
+                let mut sparse_col = vec![0.0f64; n];
+                let mut stored = vec![false; n];
+                for p in col_ptr[j]..col_ptr[j + 1] {
+                    let i = row_idx[p] as usize;
+                    assert!(i > j, "{ordering:?}: row {i} not below diagonal {j}");
+                    sparse_col[i] = values[p];
+                    stored[i] = true;
+                }
+                for i in j + 1..n {
+                    let dense = l[i * n + j];
+                    assert!(
+                        stored[i] || dense.abs() < 1e-12,
+                        "{ordering:?}: L({i},{j}) = {dense} missing from the pattern"
+                    );
+                    assert!(
+                        (sparse_col[i] - dense).abs() < 1e-12,
+                        "{ordering:?}: L({i},{j}) {} vs {dense}",
+                        sparse_col[i]
+                    );
+                }
+                assert!((diag[j] - d[j]).abs() < 1e-12, "{} vs {}", diag[j], d[j]);
             }
-            for (u, v) in s.diag.iter().zip(&p.diag) {
-                assert!((u - v).abs() < 1e-12, "{u} vs {v}");
-            }
-            assert!(!p.supernode_ptr().is_empty());
-            assert!(s.supernode_ptr().is_empty());
+            assert!(!f.supernode_ptr().is_empty());
         }
     }
 
@@ -790,59 +689,72 @@ mod tests {
     }
 
     #[test]
-    fn rhs_panel_and_width_cap_tunables_are_honored() {
+    fn reblocked_solves_and_width_one_supernodes_agree() {
         let a = laplacian_2d(14, 13);
         let rhs: Vec<Vec<f64>> = (0..11)
             .map(|s| (0..182).map(|i| ((i + s * 5) % 9) as f64 - 4.0).collect())
             .collect();
         let base = LdlFactor::factor_with(&a, &FactorOptions::default()).unwrap();
         // Any panel width re-blocking keeps solve_many bit-identical.
-        for rhs_panel in [1, 3, 8, 64] {
-            let f = LdlFactor::factor_with(
-                &a,
-                &FactorOptions {
-                    rhs_panel,
-                    ..FactorOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                f.solve_many(&rhs),
-                base.solve_many(&rhs),
-                "panel={rhs_panel}"
-            );
+        let batched = base.solve_many(&rhs);
+        for width in [1, 3, 8, 64] {
+            let reblocked: Vec<Vec<f64>> = rhs
+                .chunks(width)
+                .flat_map(|c| base.solve_block(c))
+                .collect();
+            assert_eq!(reblocked, batched, "panel={width}");
         }
         // A width cap of 1 forces single-column supernodes. The partition
         // (and hence FP grouping) changes, so values agree to rounding, not
         // bitwise — but the CSC layout is identical and, for a fixed cap,
         // backends still agree bitwise.
-        let narrow_opts = FactorOptions {
-            max_supernode_width: 1,
-            ..FactorOptions::default()
-        };
-        let narrow = LdlFactor::factor_with(&a, &narrow_opts).unwrap();
-        assert!(narrow.supernode_ptr().windows(2).all(|w| w[1] - w[0] == 1));
+        let pa = a.permute_symmetric(base.permutation());
+        let sym = supernodal::analyze(&pa, 1);
+        assert!(sym.sn_ptr.windows(2).all(|w| w[1] - w[0] == 1));
         assert!(base.supernode_ptr().windows(2).any(|w| w[1] - w[0] > 1));
-        assert_eq!(narrow.col_ptr, base.col_ptr);
-        assert_eq!(narrow.row_idx, base.row_idx);
-        for (u, v) in narrow.values.iter().zip(&base.values) {
+        assert_eq!(sym.col_ptr, base.col_ptr);
+        let (row_idx, values, diag) =
+            supernodal::factor_numeric(&pa, &sym, &panel::BLOCKED).unwrap();
+        assert_eq!(row_idx, base.row_idx);
+        for (u, v) in values
+            .iter()
+            .zip(&base.values)
+            .chain(diag.iter().zip(&base.diag))
+        {
             assert!((u - v).abs() < 1e-12, "{u} vs {v}");
         }
-        let narrow_scalar =
-            LdlFactor::factor_with(&a, &narrow_opts.with_kernels(KernelBackend::Scalar)).unwrap();
-        assert_eq!(narrow.values, narrow_scalar.values);
+        let (_, scalar_values, scalar_diag) =
+            supernodal::factor_numeric(&pa, &sym, &panel::SCALAR).unwrap();
+        assert_eq!(values, scalar_values);
+        assert_eq!(diag, scalar_diag);
     }
 
     #[test]
     fn detects_indefinite_matrix() {
-        let mut t = TripletMatrix::new(2, 2);
-        t.push(0, 0, 1.0);
-        t.push_sym(0, 1, 2.0);
-        t.push(1, 1, 1.0); // eigenvalues 3, -1
-        for supernodal in [false, true] {
-            let err = LdlFactor::factor_with(&t.to_csr(), &opts(Ordering::Natural, supernodal))
-                .unwrap_err();
-            assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
+        // (a00, a01, a11): an indefinite matrix (eigenvalues 3, -1), then
+        // non-finite entries on and off the diagonal.
+        let cases = [
+            (1.0, 2.0, 1.0),
+            (f64::NAN, 0.0, 1.0),
+            (2.0, f64::NAN, 2.0),
+            (f64::INFINITY, 0.0, 1.0),
+            (f64::NEG_INFINITY, 0.0, 1.0),
+            (2.0, f64::INFINITY, 2.0),
+            (2.0, f64::NEG_INFINITY, 2.0),
+        ];
+        for (a00, a01, a11) in cases {
+            let mut t = TripletMatrix::new(2, 2);
+            t.push(0, 0, a00);
+            t.push_sym(0, 1, a01);
+            t.push(1, 1, a11);
+            for kernels in [KernelBackend::Scalar, KernelBackend::Blocked] {
+                let o = opts(Ordering::Natural).with_kernels(kernels);
+                let err = LdlFactor::factor_with(&t.to_csr(), &o).unwrap_err();
+                assert!(
+                    matches!(err, SparseError::NotPositiveDefinite { .. }),
+                    "({a00}, {a01}, {a11}) {kernels:?}: {err:?}"
+                );
+            }
         }
     }
 
@@ -855,13 +767,11 @@ mod tests {
 
     #[test]
     fn identity_factor_solves_trivially() {
-        for supernodal in [false, true] {
-            let a = CsrMatrix::identity(5);
-            let f = LdlFactor::factor_with(&a, &opts(Ordering::Amd, supernodal)).unwrap();
-            let b = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-            assert_eq!(f.solve(&b), b);
-            assert_eq!(f.l_nnz(), 0);
-        }
+        let a = CsrMatrix::identity(5);
+        let f = LdlFactor::factor_with(&a, &opts(Ordering::Amd)).unwrap();
+        let b = vec![1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(f.solve(&b), b);
+        assert_eq!(f.l_nnz(), 0);
     }
 
     #[test]
@@ -903,13 +813,11 @@ mod tests {
         let a = t.to_csr();
         let b = vec![1.0, -2.0, 0.5];
         let xd = a.to_dense().solve(&b).unwrap();
-        for supernodal in [false, true] {
-            let xs = LdlFactor::factor_with(&a, &opts(Ordering::Natural, supernodal))
-                .unwrap()
-                .solve(&b);
-            for (u, v) in xs.iter().zip(&xd) {
-                assert!((u - v).abs() < 1e-10);
-            }
+        let xs = LdlFactor::factor_with(&a, &opts(Ordering::Natural))
+            .unwrap()
+            .solve(&b);
+        for (u, v) in xs.iter().zip(&xd) {
+            assert!((u - v).abs() < 1e-10);
         }
     }
 

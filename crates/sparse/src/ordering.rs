@@ -779,16 +779,9 @@ mod tests {
         use crate::ldl::{FactorOptions, LdlFactor, Ordering};
         let m = grid_graph(24, 24);
         let fill = |ordering| {
-            LdlFactor::factor_with(
-                &m,
-                &FactorOptions {
-                    ordering,
-                    supernodal: false,
-                    ..FactorOptions::default()
-                },
-            )
-            .unwrap()
-            .l_nnz()
+            LdlFactor::factor_with(&m, &FactorOptions::default().with_ordering(ordering))
+                .unwrap()
+                .l_nnz()
         };
         let rcm_fill = fill(Ordering::Rcm);
         let amd_fill = fill(Ordering::Amd);
@@ -843,16 +836,9 @@ mod tests {
         use crate::ldl::{FactorOptions, LdlFactor, Ordering};
         let m = grid_graph(32, 32);
         let fill = |ordering| {
-            LdlFactor::factor_with(
-                &m,
-                &FactorOptions {
-                    ordering,
-                    supernodal: false,
-                    ..FactorOptions::default()
-                },
-            )
-            .unwrap()
-            .l_nnz()
+            LdlFactor::factor_with(&m, &FactorOptions::default().with_ordering(ordering))
+                .unwrap()
+                .l_nnz()
         };
         let natural_fill = fill(Ordering::Natural);
         let nd_fill = fill(Ordering::Nd);

