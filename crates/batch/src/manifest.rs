@@ -9,9 +9,10 @@
 //! | `manifest.json` | entry states and job-id bindings (this module)    |
 //! | `report.json`   | the final aggregated report, byte-stable          |
 //!
-//! Every write uses the same atomic tmp-file + rename discipline as the
-//! job store, so a `kill -9` at any instant leaves either the previous
-//! complete manifest or the new complete manifest — never a torn one.
+//! Every write goes through [`emgrid_runtime::write_atomic`], the same
+//! tmp-file + rename writer as the job store, so a `kill -9` at any instant
+//! leaves either the previous complete manifest or the new complete
+//! manifest — never a torn one.
 //!
 //! # Entry state machine
 //!
@@ -30,16 +31,12 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use emgrid_runtime::JobId;
 use emgrid_serve::json::{self, Json};
 
 /// Manifest format version, bumped on layout changes.
 const MANIFEST_VERSION: f64 = 1.0;
-
-/// Monotonic tmp-file disambiguator.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Where one sweep entry stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,15 +236,7 @@ impl SweepStore {
     }
 
     fn write_atomic(&self, sweep: &str, file: &str, bytes: &[u8]) -> io::Result<()> {
-        let dir = self.dir(sweep);
-        fs::create_dir_all(&dir)?;
-        let tmp = dir.join(format!(
-            ".{file}.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, dir.join(file))
+        emgrid_runtime::write_atomic(&self.dir(sweep), file, bytes)
     }
 
     /// Persists the canonical sweep spec text.
@@ -320,6 +309,9 @@ impl SweepStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
     fn temp_store(tag: &str) -> SweepStore {
         let root = std::env::temp_dir().join(format!(

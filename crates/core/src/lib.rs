@@ -59,7 +59,7 @@ use std::fmt;
 
 use emgrid_em::Technology;
 use emgrid_fea::geometry::IntersectionPattern;
-use emgrid_pg::{McResult, PgError, PowerGrid, PowerGridMc, SolverStrategy, SystemCriterion};
+use emgrid_pg::{McResult, PgError, PowerGrid, PowerGridMc, SystemCriterion};
 use emgrid_runtime::RuntimeConfig;
 use emgrid_spice::GridSpec;
 use emgrid_stats::InvalidParameterError;
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use emgrid_fea::model::ThermalStressAnalysis;
     pub use emgrid_pg::{
         GridVariation, IrDropReport, McResult, PowerGrid, PowerGridMc, SiteAssignment,
-        SolverStrategy, SystemCriterion, Table2Row, TtfCurve,
+        SystemCriterion, Table2Row, TtfCurve,
     };
     pub use emgrid_runtime::{EarlyStop, RunReport, RuntimeConfig};
     pub use emgrid_spice::{parse, GridSpec};
@@ -133,7 +133,6 @@ pub struct ReliabilityStudy {
     technology: Technology,
     via_criterion: FailureCriterion,
     system_criterion: SystemCriterion,
-    solver: SolverStrategy,
     characterization_current: f64,
     via_trials: usize,
     grid_trials: usize,
@@ -152,7 +151,6 @@ impl ReliabilityStudy {
             technology: Technology::default(),
             via_criterion: FailureCriterion::OpenCircuit,
             system_criterion: SystemCriterion::IrDropFraction(0.10),
-            solver: SolverStrategy::default(),
             characterization_current: 1e10,
             via_trials: 500,
             grid_trials: 500,
@@ -181,12 +179,6 @@ impl ReliabilityStudy {
     /// Selects the system failure criterion.
     pub fn with_system_criterion(mut self, criterion: SystemCriterion) -> Self {
         self.system_criterion = criterion;
-        self
-    }
-
-    /// Selects the re-solve strategy.
-    pub fn with_solver(mut self, solver: SolverStrategy) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -221,9 +213,7 @@ impl ReliabilityStudy {
         let reliability = characterization.reliability(self.via_criterion)?;
         let grid = PowerGrid::from_netlist(self.grid_spec.generate())?;
         let nominal_ir = emgrid_pg::IrDropReport::evaluate(&grid, grid.nominal_solution());
-        let mc = PowerGridMc::new(grid, reliability)
-            .with_system_criterion(self.system_criterion)
-            .with_solver(self.solver);
+        let mc = PowerGridMc::new(grid, reliability).with_system_criterion(self.system_criterion);
         let grid_result = mc.run_with(self.grid_trials, seed ^ 0x5eed_0002, &self.runtime)?;
         Ok(StudyOutcome {
             characterization,

@@ -16,7 +16,7 @@
 //!
 //! Beyond printing, results can be captured machine-readably: point
 //! [`Criterion::json_output`] at a path (the workspace convention is
-//! `BENCH_fea.json` / `BENCH_mc.json` in the repo root) and every
+//! `BENCH_<area>.json`, e.g. `BENCH_fea.json` in the repo root) and every
 //! completed benchmark is appended to a JSON array of
 //! `{group, id, min_ns, median_ns, mean_ns, samples}` records. The file
 //! is rewritten after each benchmark, so a crashed run still leaves the

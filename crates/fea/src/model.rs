@@ -58,7 +58,7 @@ pub enum SolveMethod {
     },
     /// Always use the sparse direct factorization.
     Direct,
-    /// Always use Jacobi-preconditioned conjugate gradient.
+    /// Always use IC(0)-preconditioned conjugate gradient (`"cg-ic0"`).
     Iterative {
         /// Relative residual target.
         tolerance: f64,

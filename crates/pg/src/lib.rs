@@ -48,10 +48,7 @@ pub mod signoff;
 pub use checkpoint::{CheckpointError, GridCheckpoint};
 pub use flat::{FlatMc, FlatResult};
 pub use irdrop::IrDropReport;
-pub use mc::{
-    GridSession, GridVariation, McResult, PowerGridMc, SiteAssignment, SolverStrategy,
-    SystemCriterion,
-};
+pub use mc::{GridSession, GridVariation, McResult, PowerGridMc, SiteAssignment, SystemCriterion};
 pub use model::{PgError, PowerGrid, ViaSite};
 pub use report::{Table2Row, TtfCurve};
 pub use signoff::{current_density_signoff, SignoffReport, WireGeometry};
@@ -59,9 +56,7 @@ pub use signoff::{current_density_signoff, SignoffReport, WireGeometry};
 /// Convenient re-exports for typical use.
 pub mod prelude {
     pub use crate::flat::{FlatMc, FlatResult};
-    pub use crate::mc::{
-        GridVariation, McResult, PowerGridMc, SiteAssignment, SolverStrategy, SystemCriterion,
-    };
+    pub use crate::mc::{GridVariation, McResult, PowerGridMc, SiteAssignment, SystemCriterion};
     pub use crate::model::{PgError, PowerGrid, ViaSite};
     pub use crate::report::{Table2Row, TtfCurve};
     pub use emgrid_em::{Technology, SECONDS_PER_YEAR};

@@ -40,8 +40,10 @@ use emgrid_stats::OnlineStats;
 pub mod jobs;
 pub mod obs;
 pub mod par;
+mod persist;
 pub use jobs::{CancelToken, JobCtx, JobEngine, JobId, JobOutcome, JobStatus, SubmitError};
 pub use par::{parallel_chunks_mut, parallel_fill, parallel_map_chunks, parallel_reduce};
+pub use persist::write_atomic;
 // The stream-derivation scheme the scheduler's determinism contract rests
 // on, re-exported so trial bodies can split one trial's randomness into
 // named, independent sub-streams (geometry / field / void draws) without

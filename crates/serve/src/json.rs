@@ -173,6 +173,7 @@ impl std::error::Error for JsonError {}
 /// trailing non-whitespace input is rejected.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -194,6 +195,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -363,11 +365,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte sequence is valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 character. Decoding from the `&str`
+                    // keeps this O(1); re-validating the rest of the input
+                    // per character made long strings quadratic.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -412,6 +417,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_a_typical_document() {
@@ -486,6 +492,21 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB of string body: milliseconds when each character decodes
+        // in O(1), minutes when each one re-validates the rest.
+        let doc = format!("\"{}é\"", "a".repeat(4 << 20));
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        assert_eq!(parsed.as_str().map(str::len), Some((4 << 20) + 2));
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "took {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
     fn nested_structures_parse() {
         let doc = parse(r#" { "a" : [ { "b" : [ 1 , 2 ] } ] } "#).unwrap();
         let inner = &doc.get("a").unwrap();
@@ -493,5 +514,132 @@ mod tests {
             panic!("not an array")
         };
         assert_eq!(items[0].get("b").unwrap().to_string(), "[1,2]");
+    }
+
+    /// Characters that exercise every writer branch: plain ASCII, quote,
+    /// backslash, the named and `\u`-escaped controls, and 2-, 3- and
+    /// 4-byte UTF-8.
+    const CHARS: &[char] = &[
+        'a', 'Z', '0', ' ', ':', ',', '{', ']', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}',
+        '\u{1f}', '\u{7f}', 'é', '€', '😀',
+    ];
+
+    fn text(rng: &mut TestRng) -> String {
+        (0..rng.next_below(8))
+            .map(|_| CHARS[rng.next_below(CHARS.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A finite number: a small integer, a scaled decimal, or any finite
+    /// bit pattern (subnormals and values near `f64::MAX` included).
+    fn number(rng: &mut TestRng) -> f64 {
+        match rng.next_below(3) {
+            0 => rng.next_below(1 << 20) as f64 - (1 << 19) as f64,
+            1 => (rng.next_f64() - 0.5) * 10f64.powi(rng.next_below(41) as i32 - 20),
+            _ => loop {
+                let n = f64::from_bits(rng.next_u64());
+                if n.is_finite() {
+                    break n;
+                }
+            },
+        }
+    }
+
+    /// A random document with finite numbers, at most five levels deep.
+    fn document(rng: &mut TestRng, depth: usize) -> Json {
+        let kinds = if depth >= 4 { 4 } else { 6 };
+        match rng.next_below(kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_below(2) == 1),
+            2 => Json::Num(number(rng)),
+            3 => Json::Str(text(rng)),
+            4 => Json::Arr(
+                (0..rng.next_below(5))
+                    .map(|_| document(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.next_below(5))
+                    .map(|_| (text(rng), document(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn documents() -> impl Strategy<Value = Json> {
+        FnStrategy(|rng: &mut TestRng| document(rng, 0))
+    }
+
+    /// `depth` nested containers (a random mix of arrays and objects)
+    /// around the value `1`.
+    fn nested(rng: &mut TestRng, depth: usize) -> String {
+        let arrays: Vec<bool> = (0..depth).map(|_| rng.next_below(2) == 0).collect();
+        let mut out = String::with_capacity(6 * depth + 1);
+        for &array in &arrays {
+            out.push_str(if array { "[" } else { "{\"k\":" });
+        }
+        out.push('1');
+        for &array in arrays.iter().rev() {
+            out.push(if array { ']' } else { '}' });
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, and rendered documents with random byte flips,
+        /// insertions and deletions, only ever parse or error. Whatever
+        /// parses re-renders to a document that parses back to itself.
+        #[test]
+        fn arbitrary_and_mutated_bytes_never_panic(
+            noise in collection::vec(0u16..256, 0..600),
+            doc in documents(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let mut mutated = doc.to_string().into_bytes();
+            for _ in 0..1 + rng.next_below(8) {
+                let at = rng.next_below(mutated.len() as u64 + 1) as usize;
+                let byte = rng.next_below(256) as u8;
+                match rng.next_below(3) {
+                    0 if at < mutated.len() => mutated[at] = byte,
+                    1 if at < mutated.len() => {
+                        mutated.remove(at);
+                    }
+                    _ => mutated.insert(at, byte),
+                }
+            }
+            let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+            for bytes in [noise, mutated] {
+                if let Ok(parsed) = parse(&String::from_utf8_lossy(&bytes)) {
+                    prop_assert_eq!(parse(&parsed.to_string()), Ok(parsed));
+                }
+            }
+        }
+
+        /// Up to `MAX_DEPTH` levels of arrays and objects parse; anything
+        /// deeper, up to 100k levels, is a nesting error rather than a
+        /// stack overflow.
+        #[test]
+        fn nesting_beyond_max_depth_is_an_error(
+            within in 1usize..MAX_DEPTH + 1,
+            beyond in MAX_DEPTH + 1..100_000,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            prop_assert!(parse(&nested(&mut rng, within)).is_ok(), "{within} levels rejected");
+            match parse(&nested(&mut rng, beyond)) {
+                Err(e) => prop_assert!(e.message.contains("nesting deeper"), "{beyond} levels: {e}"),
+                Ok(_) => prop_assert!(false, "{beyond} levels accepted"),
+            }
+        }
+
+        /// Every document with finite numbers survives render → parse
+        /// unchanged.
+        #[test]
+        fn rendered_documents_parse_back_to_themselves(doc in documents()) {
+            prop_assert_eq!(parse(&doc.to_string()), Ok(doc));
+        }
     }
 }

@@ -11,24 +11,20 @@
 //! | `cancelled`  | marker: a client cancelled the job — never requeue   |
 //! | `sweep`      | owning sweep id, when a sweep submitted the job      |
 //!
-//! Every write goes through the same atomic tmp-file + rename discipline
-//! as the FEA [`StressCache`](emgrid_via::StressCache): readers (and a
-//! daemon restarted after `kill -9`) see either the previous complete
-//! file or the new complete file, never a torn one. Status is *derived*
-//! from which files exist, so there is no separate status record to get
-//! out of sync.
+//! Every write goes through [`emgrid_runtime::write_atomic`], the same
+//! tmp-file + rename writer as the FEA
+//! [`StressCache`](emgrid_via::StressCache): readers (and a daemon
+//! restarted after `kill -9`) see either the previous complete file or the
+//! new complete file, never a torn one. Status is *derived* from which
+//! files exist, so there is no separate status record to get out of sync.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use emgrid_runtime::JobId;
 
 use crate::json::{self, Json};
-
-/// Monotonic tmp-file disambiguator (several jobs may checkpoint at once).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A job's state on disk, as found by a startup scan.
 #[derive(Debug)]
@@ -78,15 +74,7 @@ impl JobStore {
     }
 
     fn write_atomic(&self, id: JobId, file: &str, bytes: &[u8]) -> io::Result<()> {
-        let dir = self.dir(id);
-        fs::create_dir_all(&dir)?;
-        let tmp = dir.join(format!(
-            ".{file}.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, dir.join(file))
+        emgrid_runtime::write_atomic(&self.dir(id), file, bytes)
     }
 
     /// Persists the accepted spec (must happen before the job is queued).
@@ -220,6 +208,9 @@ impl JobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
     fn temp_store(tag: &str) -> JobStore {
         let root = std::env::temp_dir().join(format!(

@@ -11,8 +11,7 @@
 //!
 //! Each update costs one base solve plus a small dense factorization; each
 //! subsequent system solve costs one base solve plus `O(n·k)` work, where `k`
-//! is the number of accumulated updates. The `smw_ablation` bench compares
-//! this against full refactorization.
+//! is the number of accumulated updates.
 
 use crate::csr::CsrMatrix;
 use crate::dense::{DenseMatrix, LuFactor};

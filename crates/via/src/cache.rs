@@ -30,8 +30,6 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use emgrid_fea::geometry::CharacterizationModel;
 use emgrid_fea::model::SolveMethod;
@@ -42,10 +40,6 @@ use emgrid_sparse::Ordering as FactorOrdering;
 /// Format tag written as the first line of every entry; bump on any layout
 /// change so stale entries read as misses instead of garbage.
 const FORMAT: &str = "emgrid-stress-cache-v1";
-
-/// Tie-breaker for concurrent writers of the same key (see
-/// [`StressCache::store`]).
-static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A directory of cached characterization results.
 #[derive(Debug, Clone)]
@@ -162,7 +156,7 @@ impl StressCache {
 
     /// Path of the entry file for `key`.
     pub fn entry_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.stress"))
+        self.dir.join(entry_name(key))
     }
 
     /// Loads the entry for `key`, or `None` on miss / unreadable /
@@ -207,18 +201,10 @@ impl StressCache {
     /// Persists an entry for `key`. Best-effort by design: callers treat a
     /// failed store as "cache stays cold", never as a solve failure.
     ///
-    /// The write goes to a unique temp file first and is moved into place
-    /// with `rename`, so concurrent writers of the same key (two fan-out
-    /// workers solving layer-pair twins) each land a complete file and the
-    /// last rename wins.
+    /// The write goes through [`emgrid_runtime::write_atomic`], so
+    /// concurrent writers of the same key (two fan-out workers solving
+    /// layer-pair twins) each land a complete file and the last rename wins.
     pub fn store(&self, key: u64, entry: &CacheEntry) -> io::Result<PathBuf> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.entry_path(key);
-        let tmp = self.dir.join(format!(
-            ".{key:016x}.{}.{}.tmp",
-            process::id(),
-            STORE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
         let mut text = String::with_capacity(
             32 + 17 * (entry.per_via_stress.len() + entry.displacements.len()),
         );
@@ -229,14 +215,13 @@ impl StressCache {
         push_bits_lines(&mut text, &entry.per_via_stress);
         text.push_str(&format!("displacements {}\n", entry.displacements.len()));
         push_bits_lines(&mut text, &entry.displacements);
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, &path)?;
+        emgrid_runtime::write_atomic(&self.dir, &entry_name(key), text.as_bytes())?;
         obs::counter(
             "emgrid_stress_cache_stores_total",
             "Stress-cache entries persisted.",
         )
         .inc();
-        Ok(path)
+        Ok(self.entry_path(key))
     }
 }
 
@@ -251,6 +236,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Writes `values` as space-separated hex bit patterns, eight per line.
+/// File name of the entry for `key` inside the cache directory.
+fn entry_name(key: u64) -> String {
+    format!("{key:016x}.stress")
+}
+
 fn push_bits_lines(out: &mut String, values: &[f64]) {
     for chunk in values.chunks(8) {
         for (i, v) in chunk.iter().enumerate() {
@@ -315,7 +305,8 @@ mod tests {
     }
 
     fn temp_cache(tag: &str) -> StressCache {
-        let dir = std::env::temp_dir().join(format!("emgrid-cache-test-{tag}-{}", process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("emgrid-cache-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         StressCache::new(dir)
     }

@@ -1,7 +1,7 @@
 //! Determinism guarantees of the shared Monte Carlo runtime, end-to-end
-//! through both levels of the hierarchical analysis: any thread count and
-//! either scheduler must produce bit-identical samples in identical order,
-//! with and without early termination.
+//! through both levels of the hierarchical analysis: any thread count must
+//! produce bit-identical samples in identical order, with and without early
+//! termination.
 
 use emgrid::prelude::*;
 
@@ -120,18 +120,6 @@ fn varied_grid_mc_is_thread_and_kernel_backend_invariant() {
             );
         }
     }
-}
-
-#[test]
-fn work_stealing_matches_static_chunking() {
-    let mc = grid_mc();
-    let stealing = mc.run_threaded(20, 31, 4).unwrap();
-    let chunked = mc.run_static_chunked(20, 31, 4).unwrap();
-    assert_eq!(stealing.ttf_seconds(), chunked.ttf_seconds());
-    assert_eq!(
-        stealing.site_failure_counts(),
-        chunked.site_failure_counts()
-    );
 }
 
 #[test]
